@@ -1,7 +1,7 @@
 # CI entry points.  `make check` is what the pipeline runs on every
 # change: a full build plus the tier-1 test suite.
 
-.PHONY: check build test lint analyze-smoke plan-smoke policy-smoke bench bench-smoke chaos-smoke scale-smoke serve-smoke clean
+.PHONY: check build test test-hashseed lint analyze-smoke plan-smoke policy-smoke bench bench-smoke chaos-smoke scale-smoke serve-smoke clean
 
 check: build test
 
@@ -10,6 +10,12 @@ build:
 
 test:
 	dune runtest
+
+# The suite again under randomised hash seeds: every verdict, digest and
+# report must come from the code, not from the stdlib Hashtbl's default
+# seed.
+test-hashseed: build
+	OCAMLRUNPARAM=R dune runtest --force
 
 # Static analysis over the evaluation networks: any error-severity
 # finding makes the CLI (and therefore this target) exit non-zero.

@@ -50,6 +50,10 @@ let persist_report ~key json =
 (* Paper-shaped reports                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* A fresh single-domain engine: each timed run does the same
+   from-scratch work instead of answering from a warm cache. *)
+let fresh_engine () = Heimdall_verify.Engine.create ~domains:1 ()
+
 let report_table1 () =
   print_string "== Table 1: evaluation networks ==\n";
   print_string (Experiments.render_table1 (Experiments.table1 ()));
@@ -57,7 +61,7 @@ let report_table1 () =
 
 let report_fig7 () =
   print_string "== Figure 7: time to solve three real issues (enterprise) ==\n";
-  let cells = Experiments.fig7 () in
+  let cells = Experiments.fig7 ~engine:(fresh_engine ()) () in
   print_string (Experiments.render_fig7 cells);
   List.iter
     (fun (issue, o) -> Printf.printf "Heimdall overhead on %s: +%.1f s\n" issue o)
@@ -69,7 +73,7 @@ let report_fig7 () =
 let report_fig7_university () =
   print_string
     "== Figure 7 (university variant; the paper omits it \"due to similarity\") ==\n";
-  let cells = Experiments.fig7 ~network:`University () in
+  let cells = Experiments.fig7 ~engine:(fresh_engine ()) ~network:`University () in
   print_string (Experiments.render_fig7 cells);
   List.iter
     (fun (issue, o) -> Printf.printf "Heimdall overhead on %s: +%.1f s\n" issue o)
@@ -110,11 +114,11 @@ let report_engine () =
     let obs = Heimdall_obs.Obs.create () in
     let engine = Engine.create ~domains ~obs ?cache_dir () in
     let cold_s, cold =
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           Metrics.sweep_all ~engine ~production:net ~policies ())
     in
     let warm_s, warm =
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           Metrics.sweep_all ~engine ~production:net ~policies ())
     in
     let stats = Engine.stats engine in
@@ -192,7 +196,7 @@ let report_lint () =
   let measure name net =
     let run domains =
       let engine = Heimdall_verify.Engine.create ~domains () in
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           Heimdall_lint.Lint.check_network ~engine net)
     in
     let f1, t1 = run 1 in
@@ -243,21 +247,21 @@ let report_sem () =
     (* Algebra kernel: compile every ACL to its exact permit set, then
        run the exact dead-rule analysis (ACL004/ACL005 backbone). *)
     let sets, t_permit =
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           List.map Heimdall_sem.Acl_sem.permit_set acls)
     in
     let cubes =
-      List.fold_left (fun acc s -> acc + Heimdall_sem.Packet_set.cube_count s) 0 sets
+      List.fold_left (fun acc s -> acc + Heimdall_net.Packet_set.cube_count s) 0 sets
     in
     let _, t_dead =
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           List.map Heimdall_sem.Acl_sem.dead_rules acls)
     in
     (* Whole-network semantic pass through the engine fan-out, 1 domain
        vs N — the report must be byte-identical across domain counts. *)
     let run domains =
       let engine = Heimdall_verify.Engine.create ~domains () in
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           Heimdall_lint.Lint.check_network ~engine net)
     in
     let f1, t1 = run 1 in
@@ -292,6 +296,7 @@ let report_sem () =
   print_string "== Plan analysis: static pre-flight over scenario tickets ==\n";
   let measure_plan name =
     let open Heimdall_sem in
+    let module Packet_set = Heimdall_net.Packet_set in
     let sc = Option.get (Experiments.scenario_of_name name) in
     let tickets =
       List.map
@@ -316,7 +321,7 @@ let report_sem () =
     in
     let run domains =
       let engine = Heimdall_verify.Engine.create ~domains () in
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           Heimdall_lint.Lint.check_plans ~engine ~network:sc.Experiments.net
             ~policies:sc.Experiments.policies tickets)
     in
@@ -431,7 +436,7 @@ let report_ablation_audit () =
 let report_campaign () =
   print_string
     "== Campaign: 40 tickets, 20% hostile, same event stream under both models ==\n";
-  print_string (Campaign.render (Experiments.campaign ()));
+  print_string (Campaign.render (Experiments.campaign ~engine:(fresh_engine ()) ()));
   print_newline ()
 
 let report_chaos () =
@@ -444,7 +449,7 @@ let report_chaos () =
   in
   let run_all domains =
     let engine = Heimdall_verify.Engine.create ~domains () in
-    Heimdall_msp.Timing.elapsed (fun () ->
+    Heimdall_obs.Clock.elapsed (fun () ->
         List.map
           (fun issue -> Chaos.run ~engine ~scenario:sc ~issue ~seed ())
           sc.Experiments.issues)
@@ -550,7 +555,7 @@ let report_obs () =
     let rec go best i =
       if i = 0 then best
       else
-        let _, t = Heimdall_msp.Timing.elapsed (fun () -> ignore (f ())) in
+        let _, t = Heimdall_obs.Clock.elapsed (fun () -> ignore (f ())) in
         go (Float.min best t) (i - 1)
     in
     go infinity reps
@@ -595,7 +600,8 @@ let report_obs () =
 
 let report_containment () =
   print_string "== Attack containment (motivating incidents, paper section 2.2) ==\n";
-  print_string (Experiments.render_containment (Experiments.attack_containment ()));
+  print_string
+    (Experiments.render_containment (Experiments.attack_containment ~engine:(fresh_engine ()) ()));
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -615,25 +621,31 @@ let bench_fig7 =
   let issue = List.hd (Enterprise.issues net) in
   Test.make ~name:"fig7/heimdall-workflow-vlan"
     (Staged.stage (fun () ->
-         ignore (Heimdall_msp.Workflow.run_heimdall ~production:net ~policies ~issue ())))
+         ignore
+           (Heimdall_msp.Workflow.run_heimdall ~engine:(fresh_engine ()) ~production:net
+              ~policies ~issue ())))
 
 let bench_fig8 =
   let net, policies = Experiments.enterprise () in
   Test.make ~name:"fig8/sweep-enterprise"
-    (Staged.stage (fun () -> ignore (Metrics.sweep_all ~production:net ~policies ())))
+    (Staged.stage (fun () ->
+         ignore (Metrics.sweep_all ~engine:(fresh_engine ()) ~production:net ~policies ())))
 
 let bench_fig9 =
   let net, policies = Experiments.university () in
   Test.make ~name:"fig9/sweep-university-heimdall"
     (Staged.stage (fun () ->
-         ignore (Metrics.sweep ~production:net ~policies Metrics.Heimdall_twin)))
+         ignore
+           (Metrics.sweep ~engine:(fresh_engine ()) ~production:net ~policies
+              Metrics.Heimdall_twin)))
 
 let bench_verify =
   let net, policies = Experiments.university () in
   Test.make ~name:"ablation-verify/check-175-policies"
     (Staged.stage (fun () ->
-         let dp = Heimdall_control.Dataplane.compute net in
-         ignore (Heimdall_verify.Policy.check_all dp policies)))
+         let engine = fresh_engine () in
+         let dp = Heimdall_verify.Engine.dataplane engine net in
+         ignore (Heimdall_verify.Policy.check_all ~engine dp policies)))
 
 let bench_slicer =
   let net, _ = Experiments.university () in
@@ -755,7 +767,7 @@ let report_scale () =
           | Error m -> failwith ("bad bench spec " ^ spec ^ ": " ^ m)
         in
         let fleet, gen_s =
-          Heimdall_msp.Timing.elapsed (fun () -> Fleetgen.generate params)
+          Heimdall_obs.Clock.elapsed (fun () -> Fleetgen.generate params)
         in
         let devices = Fleetgen.device_count fleet in
         let links = Fleetgen.link_count fleet in
@@ -766,11 +778,11 @@ let report_scale () =
         let run domains =
           let engine = Engine.create ~domains () in
           let dp, dp_s =
-            Heimdall_msp.Timing.elapsed (fun () ->
+            Heimdall_obs.Clock.elapsed (fun () ->
                 Engine.dataplane engine fleet.Fleetgen.net)
           in
           let report, check_s =
-            Heimdall_msp.Timing.elapsed (fun () ->
+            Heimdall_obs.Clock.elapsed (fun () ->
                 Policy.check_all ~engine dp fleet.Fleetgen.policies)
           in
           let stats = Engine.stats engine in
@@ -787,8 +799,8 @@ let report_scale () =
         in
         let verdicts_ok = fingerprint report1 = fingerprint reportn in
         let findings, lint_s =
-          Heimdall_msp.Timing.elapsed (fun () ->
-              Heimdall_lint.Lint.check_network fleet.Fleetgen.net)
+          Heimdall_obs.Clock.elapsed (fun () ->
+              Heimdall_lint.Lint.check_network ~engine:(fresh_engine ()) fleet.Fleetgen.net)
         in
         let lint_errors =
           List.length
@@ -802,8 +814,8 @@ let report_scale () =
           else
             let issue = List.hd fleet.Fleetgen.issues in
             let run, s =
-              Heimdall_msp.Timing.elapsed (fun () ->
-                  Heimdall_msp.Workflow.run_heimdall
+              Heimdall_obs.Clock.elapsed (fun () ->
+                  Heimdall_msp.Workflow.run_heimdall ~engine:(fresh_engine ())
                     ~production:fleet.Fleetgen.net
                     ~policies:fleet.Fleetgen.policies ~issue ())
             in
@@ -898,13 +910,13 @@ let report_poltree () =
         in
         let fleet = Fleetgen.generate params in
         let compiled, compile_s =
-          Heimdall_msp.Timing.elapsed (fun () ->
+          Heimdall_obs.Clock.elapsed (fun () ->
               Compile.compile_exn fleet.Fleetgen.poltree)
         in
         let run domains =
           let engine = Engine.create ~domains () in
           let findings, s =
-            Heimdall_msp.Timing.elapsed (fun () ->
+            Heimdall_obs.Clock.elapsed (fun () ->
                 Analysis.check ~engine ~policies:fleet.Fleetgen.policies compiled)
           in
           Engine.shutdown engine;

@@ -164,6 +164,26 @@ let dp_cache_arg =
            them across runs.  Entries are keyed by the network's structural digest, \
            so edits invalidate exactly the affected networks.")
 
+let domains_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "domains" ] ~docv:"N"
+        ~doc:"Verify-engine domain pool (default: auto); results do not depend on it.")
+
+type engine_flags = { domains : int option; cache_dir : string option }
+
+let engine_flags =
+  Term.(const (fun domains cache_dir -> { domains; cache_dir }) $ domains_arg $ dp_cache_arg)
+
+(* The one engine constructor: every subcommand that verifies builds its
+   engine here, from the shared --domains and --dp-cache flags (or their
+   defaults, for subcommands that do not take them). *)
+let make_engine ?obs { domains; cache_dir } =
+  Heimdall_verify.Engine.create ?domains ?obs ?cache_dir ()
+
+let default_flags = { domains = None; cache_dir = None }
+
 (* Drain an Obs context to the terminal (span tree + metrics dump) and,
    when requested, to a JSONL trace file.  Shared by [obs] and [ticket]. *)
 let dump_obs ?trace_out ~metrics (obs : Heimdall_obs.Obs.t) =
@@ -198,15 +218,15 @@ let dump_obs ?trace_out ~metrics (obs : Heimdall_obs.Obs.t) =
    engine view) and by session (one scoped view per issue), so every
    series on the /metrics page says which run produced it.  Shared by
    [obs] and [serve]. *)
-let replay_issues ~engine ~obs ~(sc : Experiments.scenario) issues =
+let replay_issues ~engine ~(sc : Experiments.scenario) issues =
   List.iter
     (fun (issue : Heimdall_msp.Issue.t) ->
-      let session_obs =
-        Heimdall_obs.Obs.scoped obs [ ("session", issue.Heimdall_msp.Issue.name) ]
+      let engine =
+        Heimdall_verify.Engine.scoped engine [ ("session", issue.Heimdall_msp.Issue.name) ]
       in
       let run =
-        Heimdall_msp.Workflow.run_heimdall ~engine ~obs:session_obs
-          ~production:sc.Experiments.net ~policies:sc.Experiments.policies ~issue ()
+        Heimdall_msp.Workflow.run_heimdall ~engine ~production:sc.Experiments.net
+          ~policies:sc.Experiments.policies ~issue ()
       in
       Printf.printf "%s: %s, %d denied commands\n" issue.Heimdall_msp.Issue.name
         (if run.Heimdall_msp.Workflow.resolved then "resolved" else "NOT resolved")
@@ -221,13 +241,6 @@ let obs_cmd =
       & info [] ~docv:"ISSUE"
           ~doc:"Issue to replay: vlan, ospf or isp (default: all three).")
   in
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Engine domain pool for the instrumented run (default: auto).")
-  in
   let prometheus_out_arg =
     Arg.(
       value
@@ -235,7 +248,7 @@ let obs_cmd =
       & info [ "prometheus-out" ] ~docv:"FILE"
           ~doc:"Also write the Prometheus text exposition to $(docv).")
   in
-  let run sc issue_name trace_out metrics domains cache_dir prometheus_out =
+  let run sc issue_name trace_out metrics flags prometheus_out =
     let issues =
       match issue_name with
       | None -> sc.Experiments.issues
@@ -250,8 +263,8 @@ let obs_cmd =
     let scoped =
       Heimdall_obs.Obs.scoped obs [ ("scenario", sc.Experiments.scenario_name) ]
     in
-    let engine = Heimdall_verify.Engine.create ?domains ~obs:scoped ?cache_dir () in
-    replay_issues ~engine ~obs:scoped ~sc issues;
+    let engine = make_engine ~obs:scoped flags in
+    replay_issues ~engine ~sc issues;
     print_string (Heimdall_verify.Engine.render_stats (Heimdall_verify.Engine.stats engine));
     dump_obs ?trace_out ~metrics obs;
     match prometheus_out with
@@ -268,8 +281,8 @@ let obs_cmd =
          "Replay a scenario's issues through the instrumented Heimdall workflow and \
           print the span tree, structured events and metrics")
     Term.(
-      const run $ network_arg $ issue_opt_arg $ trace_out_arg $ metrics_flag $ domains_arg
-      $ dp_cache_arg $ prometheus_out_arg)
+      const run $ network_arg $ issue_opt_arg $ trace_out_arg $ metrics_flag $ engine_flags
+      $ prometheus_out_arg)
 
 (* ---------------- ticket ---------------- *)
 
@@ -288,7 +301,12 @@ let ticket_cmd =
         exit 1
     | Ok issue ->
         print_endline (Heimdall_msp.Issue.to_string issue);
-        let current = Heimdall_msp.Workflow.run_current ~production:net ~issue in
+        (* The current workflow runs uninstrumented; the Heimdall run is
+           the one the trace and metrics describe. *)
+        let current =
+          Heimdall_msp.Workflow.run_current ~engine:(make_engine default_flags)
+            ~production:net ~issue
+        in
         print_string (Heimdall_msp.Workflow.run_to_string current);
         let obs =
           if trace_out <> None || metrics || events_out <> None then
@@ -296,7 +314,8 @@ let ticket_cmd =
           else None
         in
         let heimdall =
-          Heimdall_msp.Workflow.run_heimdall ?obs ~production:net ~policies ~issue ()
+          Heimdall_msp.Workflow.run_heimdall ~engine:(make_engine ?obs default_flags)
+            ~production:net ~policies ~issue ()
         in
         print_string (Heimdall_msp.Workflow.run_to_string heimdall);
         Printf.printf "Heimdall overhead: +%.1f s\n"
@@ -342,13 +361,6 @@ let serve_cmd =
              exit — non-zero when a required series or drift transition is \
              missing.")
   in
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Engine domain pool (default: auto).")
-  in
   (* The series the /metrics page must carry after a replay + drift
      cycle — the contract [make serve-smoke] holds the exporter to. *)
   let required_series =
@@ -369,19 +381,19 @@ let serve_cmd =
     let rec at i = i + n <= m && (String.sub hay i n = needle || at (i + 1)) in
     at 0
   in
-  let run (sc : Experiments.scenario) port interval once domains cache_dir =
+  let run (sc : Experiments.scenario) port interval once flags =
     let obs = Heimdall_obs.Obs.create () in
     let scoped =
       Heimdall_obs.Obs.scoped obs [ ("scenario", sc.Experiments.scenario_name) ]
     in
-    let engine = Heimdall_verify.Engine.create ?domains ~obs:scoped ?cache_dir () in
-    replay_issues ~engine ~obs:scoped ~sc sc.Experiments.issues;
+    let engine = make_engine ~obs:scoped flags in
+    replay_issues ~engine ~sc sc.Experiments.issues;
     (* The monitor watches an observed-network cell; in a real deployment
        the thunk would poll devices, here it reads the cell that --once
        (or a chaos driver) perturbs. *)
     let observed = ref sc.Experiments.net in
     let monitor =
-      Heimdall_msp.Monitor.create ~engine ~obs:scoped ~expected:sc.Experiments.net
+      Heimdall_msp.Monitor.create ~engine ~expected:sc.Experiments.net
         ~observe:(fun () -> !observed)
         sc.Experiments.policies
     in
@@ -483,8 +495,7 @@ let serve_cmd =
           serve /metrics, /metrics.json, /healthz, /spans and /events over HTTP \
           while a drift monitor re-verifies the network on every digest change")
     Term.(
-      const run $ network_arg $ port_arg $ interval_arg $ once_flag $ domains_arg
-      $ dp_cache_arg)
+      const run $ network_arg $ port_arg $ interval_arg $ once_flag $ engine_flags)
 
 (* ---------------- privilege ---------------- *)
 
@@ -519,7 +530,8 @@ let privilege_cmd =
 
 let sweep_cmd =
   let run { Experiments.net; policies; _ } =
-    let summaries = Metrics.sweep_all ~production:net ~policies () in
+    let engine = make_engine default_flags in
+    let summaries = Metrics.sweep_all ~engine ~production:net ~policies () in
     print_string
       (Experiments.render_sweep ~title:"bring down each interface; All vs Neighbor vs Heimdall"
          summaries)
@@ -547,13 +559,6 @@ let lint_severity_arg =
     & opt sev_conv Heimdall_lint.Diagnostic.Info
     & info [ "severity" ] ~docv:"LEVEL"
         ~doc:"Only report findings at or above $(docv): error, warning or info.")
-
-let lint_domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Engine domain pool for the per-device/per-link fan-out (default: auto).")
 
 let lint_rules_flag =
   Arg.(
@@ -627,7 +632,7 @@ let print_report_and_exit ~name ~json ~header findings_filtered ~fail =
 
 let lint_cmd =
   let open Heimdall_lint in
-  let run target json severity domains rules cache_dir =
+  let run target json severity flags rules =
     match (rules, target) with
     | true, _ -> print_lint_rules ()
     | false, None ->
@@ -635,7 +640,7 @@ let lint_cmd =
         exit 124
     | false, Some target ->
         let name, net, issues = resolve_lint_target target in
-        let engine = Heimdall_verify.Engine.create ?domains ?cache_dir () in
+        let engine = make_engine flags in
         let config_findings = Lint.check_network ~engine net in
         (* Also lint the privilege spec Heimdall would generate for each of
            the scenario's issues — the third analyzer family. *)
@@ -668,8 +673,8 @@ let lint_cmd =
          "Statically analyse a network's configs, ACLs and generated privilege specs; \
           exit non-zero on error-severity findings")
     Term.(
-      const run $ lint_target_arg $ lint_json_flag $ lint_severity_arg $ lint_domains_arg
-      $ lint_rules_flag $ dp_cache_arg)
+      const run $ lint_target_arg $ lint_json_flag $ lint_severity_arg $ engine_flags
+      $ lint_rules_flag)
 
 (* ---------------- analyze ---------------- *)
 
@@ -760,7 +765,7 @@ let analyze_cmd =
              and the static privilege verdict must agree with the monitor (exit \
              non-zero otherwise).")
   in
-  let run target json severity domains rules seed_defect plan cache_dir =
+  let run target json severity flags rules seed_defect plan =
     match (rules, target) with
     | true, _ -> print_lint_rules ()
     | false, None ->
@@ -774,7 +779,7 @@ let analyze_cmd =
             (net, Some (node, acl))
           else (net, None)
         in
-        let engine = Heimdall_verify.Engine.create ?domains ?cache_dir () in
+        let engine = make_engine flags in
         let net_findings = Lint.check_network ~engine net in
         (* Per issue: lint the generated spec, then replay the scripted fix
            in a twin session and ask the over-grant analyzer (PRV004) what
@@ -934,8 +939,8 @@ let analyze_cmd =
           (PLAN001-PLAN005) with a replay soundness check; exit non-zero on \
           error-severity findings")
     Term.(
-      const run $ lint_target_arg $ lint_json_flag $ lint_severity_arg $ lint_domains_arg
-      $ lint_rules_flag $ seed_defect_flag $ plan_flag $ dp_cache_arg)
+      const run $ lint_target_arg $ lint_json_flag $ lint_severity_arg $ engine_flags
+      $ lint_rules_flag $ seed_defect_flag $ plan_flag)
 
 (* ---------------- policy ---------------- *)
 
@@ -1055,7 +1060,7 @@ let policy_cmd =
              root deny! contradicting a descendant allow; pol004: a flipped leaf \
              allow breaking refinement), then analyse.  The run must exit non-zero.")
   in
-  let run target json severity domains rules show compiled diff_target seed cache_dir =
+  let run target json severity flags rules show compiled diff_target seed =
     match (rules, target) with
     | true, _ -> print_lint_rules ()
     | false, None ->
@@ -1124,7 +1129,7 @@ let policy_cmd =
                       c.Compile.leaves
                   end
                   else
-                    let engine = Heimdall_verify.Engine.create ?domains ?cache_dir () in
+                    let engine = make_engine flags in
                     let tickets =
                       match network with
                       | Some net -> poltree_tickets net issues
@@ -1168,8 +1173,8 @@ let policy_cmd =
           flat policy spec with witness packets, and ticket-privilege cross-checks; \
           exit non-zero on error-severity findings")
     Term.(
-      const run $ target_arg $ lint_json_flag $ lint_severity_arg $ lint_domains_arg
-      $ lint_rules_flag $ show_flag $ compile_flag $ diff_arg $ seed_arg $ dp_cache_arg)
+      const run $ target_arg $ lint_json_flag $ lint_severity_arg $ engine_flags
+      $ lint_rules_flag $ show_flag $ compile_flag $ diff_arg $ seed_arg)
 
 (* ---------------- conflicts ---------------- *)
 
@@ -1236,20 +1241,23 @@ let experiment_cmd =
             "table1, fig7, fig8, fig9, ablation-verify, ablation-slicer, ablation-audit or containment.")
   in
   let run name =
+    let engine () = make_engine default_flags in
     match name with
     | "table1" -> print_string (Experiments.render_table1 (Experiments.table1 ()))
     | "fig7" ->
-        let cells = Experiments.fig7 () in
+        let cells = Experiments.fig7 ~engine:(engine ()) () in
         print_string (Experiments.render_fig7 cells);
         List.iter
           (fun (i, o) -> Printf.printf "overhead %s: +%.1f s\n" i o)
           (Experiments.fig7_overhead cells)
     | "fig8" ->
         print_string
-          (Experiments.render_sweep ~title:"Figure 8 (enterprise)" (Experiments.fig8 ()))
+          (Experiments.render_sweep ~title:"Figure 8 (enterprise)"
+             (Experiments.fig8 ~engine:(engine ()) ()))
     | "fig9" ->
         print_string
-          (Experiments.render_sweep ~title:"Figure 9 (university)" (Experiments.fig9 ()))
+          (Experiments.render_sweep ~title:"Figure 9 (university)"
+             (Experiments.fig9 ~engine:(engine ()) ()))
     | "ablation-verify" ->
         print_string (Experiments.render_ablation_verify (Experiments.ablation_verify ()))
     | "ablation-slicer" ->
@@ -1257,12 +1265,16 @@ let experiment_cmd =
     | "ablation-audit" ->
         print_string (Experiments.render_ablation_audit (Experiments.ablation_audit ()))
     | "containment" ->
-        print_string (Experiments.render_containment (Experiments.attack_containment ()))
+        print_string
+          (Experiments.render_containment
+             (Experiments.attack_containment ~engine:(engine ()) ()))
     | other ->
         Printf.eprintf "unknown experiment %S\n" other;
         exit 1
   in
-  Cmd.v (Cmd.info "experiment" ~doc:"Print a paper artifact") Term.(const run $ name_arg)
+  Cmd.v
+    (Cmd.info "experiment" ~doc:"Print a paper artifact")
+    Term.(const run $ name_arg)
 
 (* ---------------- audit ---------------- *)
 
@@ -1319,14 +1331,7 @@ let chaos_cmd =
       & info [ "max-attempts" ] ~docv:"K"
           ~doc:"Per-step retry budget for flaky commands and the transactional apply.")
   in
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"Engine domain pool (default: auto; verdicts do not depend on it).")
-  in
-  let run sc issue_name seed max_attempts trace_out metrics domains cache_dir =
+  let run sc issue_name seed max_attempts trace_out metrics flags =
     let issues =
       match issue_name with
       | None -> sc.Experiments.issues
@@ -1341,7 +1346,7 @@ let chaos_cmd =
       if trace_out <> None || metrics then Some (Heimdall_obs.Obs.create ())
       else None
     in
-    let engine = Heimdall_verify.Engine.create ?domains ?obs ?cache_dir () in
+    let engine = make_engine ?obs flags in
     let results =
       List.map
         (fun issue -> Chaos.run ~engine ?max_attempts ~scenario:sc ~issue ~seed ())
@@ -1359,7 +1364,7 @@ let chaos_cmd =
           and check that enforcement recovers; exit non-zero if any run fails")
     Term.(
       const run $ network_arg $ issue_opt_arg $ seed_arg $ max_attempts_arg
-      $ trace_out_arg $ metrics_flag $ domains_arg $ dp_cache_arg)
+      $ trace_out_arg $ metrics_flag $ engine_flags)
 
 (* ---------------- scale ---------------- *)
 
@@ -1416,23 +1421,14 @@ let scale_cmd =
             "Full fleet spec (e.g. fat-tree:k=8:seed=7); overrides the \
              individual shape flags.")
   in
-  let domains_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Engine domain pool for the N-domain leg of the determinism check \
-             (default: auto, at least 2).")
-  in
   let skip_issues_flag =
     Arg.(
       value & flag
       & info [ "no-issues" ]
           ~doc:"Skip the per-issue workflow runs (generation + verification only).")
   in
-  let run shape k spines leaves campuses buildings hosts policies mode seed spec
-      domains cache_dir skip_issues =
+  let run shape k spines leaves campuses buildings hosts policies mode seed spec flags
+      skip_issues =
     let spec =
       match spec with
       | Some s -> s
@@ -1461,7 +1457,7 @@ let scale_cmd =
     in
     let open Heimdall_scenarios in
     let fleet, gen_s =
-      Heimdall_msp.Timing.elapsed (fun () -> Fleetgen.generate params)
+      Heimdall_obs.Clock.elapsed (fun () -> Fleetgen.generate params)
     in
     Printf.printf "fleet %s\n" fleet.Fleetgen.name;
     Printf.printf "devices: %d  links: %d  policies: %d  config lines: %d\n"
@@ -1482,17 +1478,19 @@ let scale_cmd =
     | Error e ->
         prerr_endline ("  " ^ e);
         gate "network validation" false);
+    (* --domains sizes the N-domain leg of the determinism check (default:
+       auto, at least 2); the 1-domain leg also uses the --dp-cache. *)
     let n_domains =
-      match domains with
+      match flags.domains with
       | Some n -> max 1 n
       | None -> max 2 (Heimdall_verify.Engine.default_domains ())
     in
-    let engine1 = Heimdall_verify.Engine.create ~domains:1 ?cache_dir () in
-    let engine_n = Heimdall_verify.Engine.create ~domains:n_domains () in
+    let engine1 = make_engine { flags with domains = Some 1 } in
+    let engine_n = make_engine { domains = Some n_domains; cache_dir = None } in
     (* Lint: only error-severity findings gate (warnings like a terminal
        permit-any are part of the generated enterprise idiom). *)
     let findings, lint_s =
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           Heimdall_lint.Lint.check_network ~engine:engine1 fleet.Fleetgen.net)
     in
     let errors =
@@ -1510,7 +1508,7 @@ let scale_cmd =
     (* Verify every policy on 1 domain and on N domains; the verdicts —
        not just the counts — must be byte-identical. *)
     let dp1, dp_s =
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           Heimdall_verify.Engine.dataplane engine1 fleet.Fleetgen.net)
     in
     let report_fingerprint (r : Heimdall_verify.Policy.report) =
@@ -1520,7 +1518,7 @@ let scale_cmd =
          r.violations)
     in
     let report1, check_s =
-      Heimdall_msp.Timing.elapsed (fun () ->
+      Heimdall_obs.Clock.elapsed (fun () ->
           Heimdall_verify.Policy.check_all ~engine:engine1 dp1
             fleet.Fleetgen.policies)
     in
@@ -1549,7 +1547,7 @@ let scale_cmd =
       List.iter
         (fun (issue : Heimdall_msp.Issue.t) ->
           let run, wf_s =
-            Heimdall_msp.Timing.elapsed (fun () ->
+            Heimdall_obs.Clock.elapsed (fun () ->
                 Heimdall_msp.Workflow.run_heimdall ~engine:engine_n
                   ~production:fleet.Fleetgen.net
                   ~policies:fleet.Fleetgen.policies ~issue ())
@@ -1582,7 +1580,7 @@ let scale_cmd =
     Term.(
       const run $ shape_arg $ k_arg $ spines_arg $ leaves_arg $ campuses_arg
       $ buildings_arg $ hosts_arg $ policies_arg $ mode_arg $ seed_arg $ spec_arg
-      $ domains_arg $ dp_cache_arg $ skip_issues_flag)
+      $ engine_flags $ skip_issues_flag)
 
 (* ---------------- shell ---------------- *)
 
@@ -1592,6 +1590,7 @@ let shell_cmd =
            ~doc:"Bypass the twin: commands hit production through the enforcer.")
   in
   let run ({ Experiments.net; policies; _ } as sc) issue_name emergency =
+    let engine = make_engine default_flags in
     match find_issue sc issue_name with
     | Error m ->
         prerr_endline m;
@@ -1611,8 +1610,8 @@ let shell_cmd =
         print_endline "type commands ('quit' to leave; e.g. 'connect r4', 'show ip route'):";
         if emergency then begin
           let session =
-            Heimdall_msp.Emergency.open_session ~reason:"operator shell" ~production:broken
-              ~policies ~privilege ()
+            Heimdall_msp.Emergency.open_session ~engine ~reason:"operator shell"
+              ~production:broken ~policies ~privilege ()
           in
           let rec loop () =
             print_string "heimdall(EMERGENCY)> ";
@@ -1651,8 +1650,8 @@ let shell_cmd =
           loop ();
           print_endline "--- enforcer ---";
           let outcome =
-            Heimdall_enforcer.Enforcer.process ~production:broken ~policies ~privilege
-              ~session ()
+            Heimdall_enforcer.Enforcer.process ~engine ~production:broken ~policies
+              ~privilege ~session ()
           in
           print_string (Heimdall_enforcer.Enforcer.outcome_to_string outcome)
         end

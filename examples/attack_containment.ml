@@ -13,6 +13,7 @@ open Heimdall
 let () =
   let production = Scenarios.Enterprise.build () in
   let policies = Scenarios.Enterprise.policies production in
+  let engine = Verify.Engine.create ~domains:1 () in
 
   (* --- 1. Exfiltration ------------------------------------------- *)
   print_endline "=== APT10-style exfiltration ===";
@@ -55,7 +56,7 @@ let () =
   ignore (Twin.Session.exec_many rmm malicious);
   let damaged = Msp.Rmm.resulting_network rmm in
   Printf.printf "RMM baseline: %d policies newly violated in production\n"
-    (Msp.Attacks.policy_damage ~policies ~before:production ~after:damaged);
+    (Msp.Attacks.policy_damage ~engine ~policies ~before:production ~after:damaged);
   (* Heimdall: the monitor allows the (in-class) edit in the twin, but
      the enforcer's verification rejects the import. *)
   let ticket =
@@ -68,7 +69,7 @@ let () =
   let session = Twin.Build.open_session ~privilege twin in
   ignore (Twin.Session.exec_many session malicious);
   let outcome =
-    Enforcer.Pipeline.process ~production ~policies ~privilege ~session ()
+    Enforcer.Pipeline.process ~engine ~production ~policies ~privilege ~session ()
   in
   Printf.printf "Heimdall: enforcer verdict = %s\n"
     (if outcome.Enforcer.Pipeline.approved then "APPROVED (!)" else "rejected");
@@ -83,7 +84,7 @@ let () =
   let rmm = Msp.Rmm.open_direct_session production in
   ignore (Twin.Session.exec_many rmm erase);
   Printf.printf "RMM baseline: %d policies newly violated after the erase\n"
-    (Msp.Attacks.policy_damage ~policies ~before:production
+    (Msp.Attacks.policy_damage ~engine ~policies ~before:production
        ~after:(Msp.Rmm.resulting_network rmm));
   let twin = Twin.Build.build ~production ~endpoints:[ "h2"; "h3" ] () in
   let session =

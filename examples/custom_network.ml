@@ -82,7 +82,8 @@ let () =
 
   (* Finally: the Figure-8-style sweep on this custom network. *)
   print_endline "\nattack-surface sweep (bring down each interface):";
-  let summaries = Scenarios.Metrics.sweep_all ~production:net ~policies () in
+  let engine = Verify.Engine.create ~domains:1 () in
+  let summaries = Scenarios.Metrics.sweep_all ~engine ~production:net ~policies () in
   List.iter
     (fun (s : Scenarios.Metrics.summary) ->
       Printf.printf "  %-9s feasibility %5.1f%%  attack surface %5.1f%%\n"

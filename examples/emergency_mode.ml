@@ -10,6 +10,7 @@ open Heimdall
 let () =
   let production = Scenarios.Enterprise.build () in
   let policies = Scenarios.Enterprise.policies production in
+  let engine = Verify.Engine.create ~domains:1 () in
   let issue =
     List.find
       (fun (i : Msp.Issue.t) -> i.name = "isp")
@@ -17,7 +18,7 @@ let () =
   in
   let broken = issue.Msp.Issue.inject production in
   Printf.printf "ticket: %s\n" (Msp.Ticket.to_string issue.Msp.Issue.ticket);
-  Printf.printf "symptom present: %b\n\n" (Msp.Issue.symptom_present issue broken);
+  Printf.printf "symptom present: %b\n\n" (Msp.Issue.symptom_present ~engine issue broken);
 
   (* The admin grants an emergency privilege scoped to the edge router. *)
   let privilege =
@@ -29,7 +30,7 @@ let () =
       |}
   in
   let session =
-    Msp.Emergency.open_session ~reason:"uplink circuit dead; customer offline"
+    Msp.Emergency.open_session ~engine ~reason:"uplink circuit dead; customer offline"
       ~production:broken ~policies ~privilege ()
   in
 
@@ -50,7 +51,7 @@ let () =
   Printf.printf "\nchanges applied to production: %d\n"
     (List.length (Msp.Emergency.applied session));
   Printf.printf "issue resolved: %b\n"
-    (not (Msp.Issue.symptom_present issue (Msp.Emergency.production session)));
+    (not (Msp.Issue.symptom_present ~engine issue (Msp.Emergency.production session)));
   Printf.printf "audit records: %d (chain verifies: %b)\n"
     (Enforcer.Audit.length (Msp.Emergency.audit session))
     (Enforcer.Audit.verify (Msp.Emergency.audit session) = Ok ())

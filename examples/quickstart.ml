@@ -15,6 +15,9 @@ let () =
   (* 1. The production network and its mined policies. *)
   let production = Scenarios.Enterprise.build () in
   let policies = Scenarios.Enterprise.policies production in
+  (* One verification context for the whole run: memoized dataplanes and
+     traces, shared by the enforcer and the resolution check. *)
+  let engine = Verify.Engine.create ~domains:1 () in
   Printf.printf "production: %d devices, %d policies mined\n"
     (List.length (Control.Network.node_names production))
     (List.length policies);
@@ -52,7 +55,7 @@ let () =
 
   (* 5. The enforcer verifies the changes and schedules them. *)
   let outcome =
-    Enforcer.Pipeline.process ~production:broken ~policies ~privilege ~session ()
+    Enforcer.Pipeline.process ~engine ~production:broken ~policies ~privilege ~session ()
   in
   section "policy enforcer";
   print_string (Enforcer.Pipeline.outcome_to_string outcome);
@@ -60,7 +63,7 @@ let () =
   (* 6. Check the fix took effect in production. *)
   (match outcome.Enforcer.Pipeline.updated with
   | Some updated ->
-      let fixed = not (Msp.Issue.symptom_present issue updated) in
+      let fixed = not (Msp.Issue.symptom_present ~engine issue updated) in
       Printf.printf "issue resolved in production: %b\n" fixed
   | None -> print_endline "changes rejected; production untouched");
 

@@ -26,8 +26,9 @@ let () =
     (Verify.Trace.result_to_string (Verify.Trace.trace dp probe));
 
   (* Run both workflows and compare. *)
-  let current = Msp.Workflow.run_current ~production ~issue in
-  let heimdall = Msp.Workflow.run_heimdall ~production ~policies ~issue () in
+  let engine = Verify.Engine.create ~domains:1 () in
+  let current = Msp.Workflow.run_current ~engine ~production ~issue in
+  let heimdall = Msp.Workflow.run_heimdall ~engine ~production ~policies ~issue () in
   print_string (Msp.Workflow.run_to_string current);
   print_newline ();
   print_string (Msp.Workflow.run_to_string heimdall);

@@ -212,3 +212,24 @@ let l3_neighbour t node addr =
 
 let route_counts t =
   Smap.bindings t.fibs |> List.map (fun (n, f) -> (n, Fib.route_count f))
+
+let digest t =
+  let lines = Buffer.create 4096 in
+  let add line =
+    Buffer.add_string lines line;
+    Buffer.add_char lines '\n'
+  in
+  Smap.iter
+    (fun node fib ->
+      add ("fib " ^ node);
+      List.iter add (List.sort String.compare (List.map Fib.route_to_string (Fib.routes fib))))
+    t.fibs;
+  (* Domain ids are an artefact of construction order: a domain is named
+     by its attached interfaces and its bridging switches instead. *)
+  L2.domains t.l2
+  |> List.map (fun (id, eps) ->
+         Printf.sprintf "l2 %s | %s"
+           (String.concat "," (List.map Topology.endpoint_to_string eps))
+           (String.concat "," (L2.domain_switches id t.l2)))
+  |> List.sort String.compare |> List.iter add;
+  Digest.to_hex (Digest.string (Buffer.contents lines))

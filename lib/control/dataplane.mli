@@ -45,3 +45,10 @@ val l3_neighbour : t -> string -> Ipv4.t -> (string * string) option
 
 val route_counts : t -> (string * int) list
 (** Installed route count per node (diagnostics / benches). *)
+
+val digest : t -> string
+(** A canonical hex digest of the forwarding state: every node's FIB
+    routes, sorted, plus the L2 domains (attached interfaces and bridging
+    switches), sorted.  Equal forwarding gives equal digests whatever the
+    build path (full or incremental) or the runtime's hash seed — unlike
+    [Marshal] of a value that holds hashtables. *)

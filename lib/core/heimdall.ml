@@ -51,6 +51,7 @@ module Verify = struct
   module Policy = Heimdall_verify.Policy
   module Spec_miner = Heimdall_verify.Spec_miner
   module Reachability = Heimdall_verify.Reachability
+  module Engine = Heimdall_verify.Engine
 end
 
 module Privilege = struct
@@ -117,13 +118,15 @@ end
 (** {1 One-call workflow entry points} *)
 
 (** Resolve a ticket the Heimdall way on the given production network:
-    returns the instrumented run (twin, session, enforcer outcome). *)
-let resolve_with_heimdall ?strategy ~production ~policies ~issue () =
-  Heimdall_msp.Workflow.run_heimdall ?strategy ~production ~policies ~issue ()
+    returns the instrumented run (twin, session, enforcer outcome).  The
+    engine ({!Verify.Engine.create}) is the one verification context:
+    its caches, domain pool and observability serve every stage. *)
+let resolve_with_heimdall ?strategy ~engine ~production ~policies ~issue () =
+  Heimdall_msp.Workflow.run_heimdall ?strategy ~engine ~production ~policies ~issue ()
 
 (** Resolve a ticket the status-quo way (direct access). *)
-let resolve_with_direct_access ~production ~issue =
-  Heimdall_msp.Workflow.run_current ~production ~issue
+let resolve_with_direct_access ~engine ~production ~issue =
+  Heimdall_msp.Workflow.run_current ~engine ~production ~issue
 
 (** Mine the policy set of a network (config2spec stand-in). *)
 let mine_policies ?options network =

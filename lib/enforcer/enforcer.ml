@@ -20,19 +20,42 @@ type outcome = {
 
 let default_enclave = Enclave.load ~code_identity:"heimdall-policy-enforcer-v1"
 
+(* Every outcome ends the same way: the final audit head is attested and
+   sealed to the enforcer's enclave. *)
+let finish ~enclave ~approved ?(rejections = []) ?(conflicts = []) ?plan ?updated ?apply
+    ?(fixed_policies = []) ?impact ?(lint_findings = []) ?(sem_findings = [])
+    ?(acl_diffs = []) audit =
+  let head = Audit.head audit in
+  {
+    approved;
+    rejections;
+    conflicts;
+    plan;
+    updated;
+    apply;
+    fixed_policies;
+    impact;
+    lint_findings;
+    sem_findings;
+    acl_diffs;
+    audit;
+    report = Enclave.attest enclave ~report_data:head;
+    sealed_head = Enclave.seal enclave head;
+  }
+
 (* Static-analysis pre-check: lint the twin as the technician left it and
    keep only findings that were not already present before the session
    started.  The delta is advisory — it lands in the audit trail for the
    MSP customer to review, but does not by itself reject the import
    (policy verification is the gate). *)
-let lint_delta ?engine ?obs emulation =
+let lint_delta ~engine emulation =
   let open Heimdall_lint in
   let baseline =
-    Lint.check_network ?engine ?obs ~twin_exposed:true
+    Lint.check_network ~engine ~twin_exposed:true
       (Heimdall_twin.Emulation.baseline emulation)
   in
   let current =
-    Lint.check_network ?engine ?obs ~twin_exposed:true
+    Lint.check_network ~engine ~twin_exposed:true
       (Heimdall_twin.Emulation.network emulation)
   in
   List.filter
@@ -70,11 +93,9 @@ let session_acl_diffs emulation =
         names)
     (Heimdall_control.Network.node_names after)
 
-let process_unlabeled ?(enclave = default_enclave) ?engine ?obs ?injector ?max_attempts
+let process_unlabeled ?(enclave = default_enclave) ~engine ?injector ?max_attempts
     ?(in_flight = []) ~production ~policies ~privilege ~session () =
-  let obs =
-    match obs with Some _ -> obs | None -> Option.bind engine Engine.obs
-  in
+  let obs = Engine.obs engine in
   let emulation = Heimdall_twin.Session.emulation session in
   let changes = Heimdall_twin.Emulation.changes emulation in
   let audit = Audit.of_session_log (Heimdall_twin.Session.log session) in
@@ -126,27 +147,11 @@ let process_unlabeled ?(enclave = default_enclave) ?engine ?obs ?injector ?max_a
             ~detail:(Mediator.conflict_to_string c) ~verdict:"held" audit)
         audit conflicts
     in
-    let head = Audit.head audit in
-    {
-      approved = false;
-      rejections = [];
-      conflicts;
-      plan = None;
-      updated = None;
-      apply = None;
-      fixed_policies = [];
-      impact = None;
-      lint_findings = [];
-      sem_findings = [];
-      acl_diffs = [];
-      audit;
-      report = Enclave.attest enclave ~report_data:head;
-      sealed_head = Enclave.seal enclave head;
-    }
+    finish ~enclave ~approved:false ~conflicts audit
   end
   else
   let verdict =
-    Verifier.verify ?engine ?obs ~production ~policies ~privilege ~changes ()
+    Verifier.verify ~engine ~production ~policies ~privilege ~changes ()
   in
   Heimdall_obs.Obs.event obs "policy.verdict"
     ~attrs:
@@ -157,7 +162,7 @@ let process_unlabeled ?(enclave = default_enclave) ?engine ?obs ?injector ?max_a
       ];
   let lint_findings =
     Heimdall_obs.Obs.span obs "enforcer.lint" (fun () ->
-        let delta = lint_delta ?engine ?obs emulation in
+        let delta = lint_delta ~engine emulation in
         Heimdall_obs.Obs.add_attr obs "new_findings"
           (string_of_int (List.length delta));
         delta)
@@ -235,65 +240,23 @@ let process_unlabeled ?(enclave = default_enclave) ?engine ?obs ?injector ?max_a
         ~detail:(Printf.sprintf "%d changes" (List.length changes))
         ~verdict:"rejected" audit
     in
-    let head = Audit.head audit in
-    {
-      approved = false;
-      rejections = verdict.rejections;
-      conflicts = [];
-      plan = None;
-      updated = None;
-      apply = None;
-      fixed_policies = verdict.fixed_policies;
-      impact = None;
-      lint_findings;
-      sem_findings;
-      acl_diffs;
-      audit;
-      report = Enclave.attest enclave ~report_data:head;
-      sealed_head = Enclave.seal enclave head;
-    }
+    finish ~enclave ~approved:false ~rejections:verdict.rejections
+      ~fixed_policies:verdict.fixed_policies ~lint_findings ~sem_findings ~acl_diffs audit
   end
   else
-    match Scheduler.plan ?engine ?obs ~production ~policies ~changes () with
+    match Scheduler.plan ~engine ~production ~policies ~changes () with
     | Error m ->
         let audit =
           Audit.append ~actor:"enforcer" ~action:"schedule" ~resource:"production"
             ~detail:m ~verdict:"rejected" audit
         in
-        let head = Audit.head audit in
-        {
-          approved = false;
-          rejections = [ Verifier.Apply_error m ];
-          conflicts = [];
-          plan = None;
-          updated = None;
-          apply = None;
-          fixed_policies = verdict.fixed_policies;
-          impact = None;
-          lint_findings;
-          sem_findings;
-          acl_diffs;
-          audit;
-          report = Enclave.attest enclave ~report_data:head;
-          sealed_head = Enclave.seal enclave head;
-        }
+        finish ~enclave ~approved:false ~rejections:[ Verifier.Apply_error m ]
+          ~fixed_policies:verdict.fixed_policies ~lint_findings ~sem_findings ~acl_diffs
+          audit
     | Ok (plan, updated) ->
         let impact =
           Heimdall_obs.Obs.span obs "enforcer.impact" (fun () ->
-              (* The updated network is production plus the accepted
-                 change set: build its dataplane incrementally. *)
-              let production_dp, updated_dp =
-                match engine with
-                | Some e ->
-                    let p = Engine.dataplane e production in
-                    (p, Engine.dataplane ~base:p e updated)
-                | None ->
-                    let p = Heimdall_control.Dataplane.compute production in
-                    (p, Heimdall_control.Dataplane.recompute ~base:p updated)
-              in
-              Reachability.diff
-                ~before:(Reachability.compute ?engine ?obs production_dp)
-                ~after:(Reachability.compute ?engine ?obs updated_dp))
+              Reachability.impact ~engine ~production updated)
         in
         (* Transactional push to production: per-step checkpoint
            validation, retry with backoff, rollback on persistent
@@ -318,35 +281,19 @@ let process_unlabeled ?(enclave = default_enclave) ?engine ?obs ?injector ?max_a
                  (Reachability.impact_to_string impact))
             ~verdict:"approved" audit
         in
-        let head = Audit.head audit in
-        {
-          approved = true;
-          rejections = [];
-          conflicts = [];
-          plan = Some plan;
-          updated = Some updated;
-          apply = Some apply;
-          fixed_policies = verdict.fixed_policies;
-          impact = Some impact;
-          lint_findings;
-          sem_findings;
-          acl_diffs;
-          audit;
-          report = Enclave.attest enclave ~report_data:head;
-          sealed_head = Enclave.seal enclave head;
-        }
+        finish ~enclave ~approved:true ~plan ~updated ~apply
+          ~fixed_policies:verdict.fixed_policies ~impact ~lint_findings ~sem_findings
+          ~acl_diffs audit
 
 (* One labeled counter per processed session, bucketed by how it ended —
    what the Watchtower's /metrics page breaks enforcer traffic down by. *)
-let process ?enclave ?engine ?obs ?injector ?max_attempts ?in_flight ~production
+let process ?enclave ~engine ?injector ?max_attempts ?in_flight ~production
     ~policies ~privilege ~session () =
   let outcome =
-    process_unlabeled ?enclave ?engine ?obs ?injector ?max_attempts ?in_flight
+    process_unlabeled ?enclave ~engine ?injector ?max_attempts ?in_flight
       ~production ~policies ~privilege ~session ()
   in
-  let obs =
-    match obs with Some _ -> obs | None -> Option.bind engine Engine.obs
-  in
+  let obs = Engine.obs engine in
   let verdict =
     if not outcome.approved then
       if outcome.conflicts <> [] then "held" else "rejected"

@@ -52,8 +52,7 @@ val default_enclave : Enclave.t
 
 val process :
   ?enclave:Enclave.t ->
-  ?engine:Engine.t ->
-  ?obs:Heimdall_obs.Obs.t ->
+  engine:Engine.t ->
   ?injector:Heimdall_faults.Injector.t ->
   ?max_attempts:int ->
   ?in_flight:(string * Heimdall_config.Change.t list) list ->
@@ -82,9 +81,9 @@ val process :
     pass-through and the outcome is byte-identical to the pre-chaos
     enforcer's.
 
-    With [?engine] the verify/schedule/impact stages share the engine's
-    memoized dataplanes and domain pool.  With [?obs] (or an engine
-    carrying one) each stage is traced, stage outcomes become structured
+    The verify/schedule/impact stages share the engine's memoized
+    dataplanes and domain pool.  With a context on the engine each stage
+    is traced, stage outcomes become structured
     events ([policy.verdict], [lint.delta], [schedule.decision]), and —
     when a root span is open on the calling domain (e.g. the workflow's
     session span) — its id is chained into the audit trail as an

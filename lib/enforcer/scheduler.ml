@@ -14,23 +14,16 @@ type plan = {
   footprint : (string * Heimdall_sem.Plan_sem.section) list;
 }
 
-let plan ?engine ?obs ~production ~policies ~changes () =
+let plan ~engine ~production ~policies ~changes () =
   (* The static write footprint does not depend on scheduling order (or
      on the network), so it is computed once up front — the mediator and
      audit trail consume it even when planning later fails. *)
   let footprint = (Heimdall_sem.Plan_sem.analyze changes).Heimdall_sem.Plan_sem.footprint in
-  let obs =
-    match obs with Some _ -> obs | None -> Option.bind engine Engine.obs
-  in
+  let obs = Engine.obs engine in
   Heimdall_obs.Obs.span obs "enforcer.schedule"
     ~attrs:[ ("changes", string_of_int (List.length changes)) ]
     (fun () ->
-  let dataplane net =
-    match engine with
-    | Some e -> Engine.dataplane e net
-    | None -> Dataplane.compute net
-  in
-  let check net = Policy.check_all ?engine (dataplane net) policies in
+  let check net = Policy.check_all ~engine (Engine.dataplane engine net) policies in
   let held_of (report : Policy.report) =
     List.filter
       (fun p -> not (List.exists (fun (q, _) -> Policy.equal p q) report.violations))

@@ -34,17 +34,17 @@ type plan = {
 }
 
 val plan :
-  ?engine:Engine.t -> ?obs:Heimdall_obs.Obs.t ->
+  engine:Engine.t ->
   production:Network.t -> policies:Policy.t list -> changes:Change.t list ->
   unit ->
   (plan * Network.t, string) result
 (** Compute the order and the final network.  Fails only if some change
     cannot apply at all.  Every occurrence in [changes] yields exactly
     one step — a change value appearing twice is scheduled twice (the
-    winner is removed from the pool by position, not by equality).  With
-    [?engine] intermediate dataplanes come from its memo cache; with
-    [?obs] (or an engine carrying one) the stage is an
-    [enforcer.schedule] span and the outcome is recorded as a
-    [schedule.decision] event.  The plan is identical either way. *)
+    winner is removed from the pool by position, not by equality).
+    Intermediate dataplanes come from the engine's memo cache; with a
+    context on the engine the stage is an [enforcer.schedule] span and
+    the outcome is recorded as a [schedule.decision] event.  The plan is
+    identical either way. *)
 
 val plan_to_string : plan -> string

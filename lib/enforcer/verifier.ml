@@ -34,21 +34,11 @@ let privilege_rejections ~privilege changes =
       else Some (Privilege_violation { change = c; action = r.req_action }))
     changes
 
-let verify ?engine ?obs ~production ~policies ~privilege ~changes () =
-  let obs =
-    match obs with Some _ -> obs | None -> Option.bind engine Engine.obs
-  in
+let verify ~engine ~production ~policies ~privilege ~changes () =
+  let obs = Engine.obs engine in
   Heimdall_obs.Obs.span obs "enforcer.verify"
     ~attrs:[ ("changes", string_of_int (List.length changes)) ]
     (fun () ->
-      let dataplane ?base net =
-        match engine with
-        | Some e -> Engine.dataplane ?base e net
-        | None -> (
-            match base with
-            | Some b -> Dataplane.recompute ~base:b net
-            | None -> Dataplane.compute net)
-      in
       let priv_rejections = privilege_rejections ~privilege changes in
       let result =
         match Network.apply_changes changes production with
@@ -62,10 +52,12 @@ let verify ?engine ?obs ~production ~policies ~privilege ~changes () =
         | Ok shadow ->
             (* The shadow network differs from production only by the
                proposed change set: build its dataplane incrementally. *)
-            let production_dp = dataplane production in
-            let before = Policy.check_all ?engine ?obs production_dp policies in
+            let production_dp = Engine.dataplane engine production in
+            let before = Policy.check_all ~engine production_dp policies in
             let after =
-              Policy.check_all ?engine ?obs (dataplane ~base:production_dp shadow) policies
+              Policy.check_all ~engine
+                (Engine.dataplane ~base:production_dp engine shadow)
+                policies
             in
             let violated_before p =
               List.exists (fun (q, _) -> Policy.equal p q) before.violations

@@ -44,16 +44,15 @@ type outcome = {
 }
 
 val verify :
-  ?engine:Engine.t ->
-  ?obs:Heimdall_obs.Obs.t ->
+  engine:Engine.t ->
   production:Network.t ->
   policies:Policy.t list ->
   privilege:Privilege.t ->
   changes:Change.t list ->
   unit ->
   outcome
-(** With [?engine] the production/shadow dataplanes come from the
-    engine's memo cache (and policy checks fan out through its domain
-    pool); with [?obs] (or an engine carrying one) the stage is traced
-    as an [enforcer.verify] span and feeds the [enforcer.rejections]
-    counter.  The outcome is identical either way. *)
+(** The production and shadow dataplanes come from the engine's memo
+    cache, and policy checks fan out through its domain pool.  With a
+    context on the engine the stage is traced as an [enforcer.verify]
+    span and feeds the [enforcer.rejections] counter.  The outcome is
+    identical either way. *)

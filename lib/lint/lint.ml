@@ -100,26 +100,20 @@ let rule code = List.find_opt (fun r -> r.code = code) rules
 
 (* ---------------- entry points ---------------- *)
 
-let check_network ?engine ?obs ?(twin_exposed = false) net =
-  let obs = match obs with Some _ -> obs | None -> Option.bind engine Engine.obs in
+let check_network ~engine ?(twin_exposed = false) net =
+  let obs = Engine.obs engine in
   Heimdall_obs.Obs.span obs "lint.check_network" (fun () ->
       let nodes = Network.node_names net in
       let device_checks node =
         Config_lint.check_device net node @ Net_lint.check_device_routes net node
       in
       let per_device =
-        match engine with
-        | None -> List.map device_checks nodes
-        | Some e ->
-            Engine.phase e "lint/devices" (fun () -> Engine.map e device_checks nodes)
+        Engine.phase engine "lint/devices" (fun () -> Engine.map engine device_checks nodes)
       in
       let links = Heimdall_net.Topology.links (Network.topology net) in
       let per_link =
-        match engine with
-        | None -> List.map (Net_lint.check_link net) links
-        | Some e ->
-            Engine.phase e "lint/links" (fun () ->
-                Engine.map e (Net_lint.check_link net) links)
+        Engine.phase engine "lint/links" (fun () ->
+            Engine.map engine (Net_lint.check_link net) links)
       in
       let cross =
         Config_lint.check_links net
@@ -145,16 +139,13 @@ let check_acl = Acl_lint.check
 let check_privilege_usage ?label ~network ~spec ~changes () =
   Priv_lint.check_usage ?label ~network ~spec ~changes ()
 
-let check_plans ?engine ?obs ?(policies = []) ~network tickets =
-  let obs = match obs with Some _ -> obs | None -> Option.bind engine Engine.obs in
+let check_plans ~engine ?(policies = []) ~network tickets =
+  let obs = Engine.obs engine in
   Heimdall_obs.Obs.span obs "lint.check_plans" (fun () ->
       let check_one t = Plan_lint.check ~network ~policies t in
       let per_ticket =
-        match engine with
-        | None -> List.map check_one tickets
-        | Some e ->
-            Engine.phase e "lint/plans" (fun () ->
-                Engine.map ~min_per_domain:1 e check_one tickets)
+        Engine.phase engine "lint/plans" (fun () ->
+            Engine.map ~min_per_domain:1 engine check_one tickets)
       in
       let findings = List.sort Diagnostic.compare (List.concat per_ticket) in
       Heimdall_obs.Obs.add_attr obs "tickets" (string_of_int (List.length tickets));

@@ -36,18 +36,17 @@ val rule : string -> rule option
 (** {1 Entry points} *)
 
 val check_network :
-  ?engine:Engine.t -> ?obs:Heimdall_obs.Obs.t -> ?twin_exposed:bool -> Network.t ->
-  Diagnostic.t list
+  engine:Engine.t -> ?twin_exposed:bool -> Network.t -> Diagnostic.t list
 (** All config-, ACL- and net-family findings for a network.  Per-device
     checks (including each device's ACLs and static-route resolution)
-    and per-link checks fan out through [engine] when one is given;
-    global cross-device checks (duplicate addresses, overlapping
-    subnets) run on the calling domain.  [twin_exposed] (default
-    false) additionally runs the SEC001 secret-exposure check — set it
-    when the network is (about to be) technician-visible.  With [?obs]
-    (or an engine carrying one) the pass is a tracer span and feeds the
-    [lint.findings] counter; the report itself is byte-identical with
-    or without instrumentation, at any domain count. *)
+    and per-link checks fan out through [engine]; global cross-device
+    checks (duplicate addresses, overlapping subnets) run on the calling
+    domain.  [twin_exposed] (default false) additionally runs the SEC001
+    secret-exposure check — set it when the network is (about to be)
+    technician-visible.  With a context on the engine the pass is a
+    tracer span and feeds the [lint.findings] counter; the report itself
+    is byte-identical with or without instrumentation, at any domain
+    count. *)
 
 val check_privilege : ?network:Network.t -> ?label:string -> Privilege.t -> Diagnostic.t list
 (** All privilege-family findings for one spec.  [network] enables the
@@ -69,8 +68,7 @@ val check_privilege_usage :
     recorded as the diagnostics' device field. *)
 
 val check_plans :
-  ?engine:Engine.t ->
-  ?obs:Heimdall_obs.Obs.t ->
+  engine:Engine.t ->
   ?policies:Heimdall_verify.Policy.t list ->
   network:Network.t ->
   Plan_lint.ticket list ->
@@ -78,7 +76,7 @@ val check_plans :
 (** All PLAN-family findings for a batch of tickets (see {!Plan_lint}):
     static pre-flight analysis of each ticket's fix script against its
     privilege grant, scope, and the given policies — nothing executes.
-    Tickets fan out through [engine] when one is given; the report is in
+    Tickets fan out through [engine]; the report is in
     canonical order, byte-identical at any domain count. *)
 
 (** {1 Filtering and rendering} *)

@@ -39,9 +39,9 @@ let malicious_acl_commands ~acl ~seq ~src ~dst ~node =
 let erase_gateway_commands ~gateway =
   [ Printf.sprintf "connect %s" gateway; "erase startup-config" ]
 
-let policy_damage ~policies ~before ~after =
+let policy_damage ~engine ~policies ~before ~after =
   let check net =
-    let report = Policy.check_all (Dataplane.compute net) policies in
+    let report = Policy.check_all ~engine (Engine.dataplane engine net) policies in
     report.Policy.violations |> List.map (fun (p, _) -> p.Policy.id)
   in
   let before_violated = check before in

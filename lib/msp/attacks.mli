@@ -28,6 +28,7 @@ val malicious_acl_commands : acl:string -> seq:int -> src:Heimdall_net.Prefix.t 
 
 val erase_gateway_commands : gateway:string -> string list
 
-val policy_damage : policies:Policy.t list -> before:Network.t -> after:Network.t -> int
+val policy_damage :
+  engine:Engine.t -> policies:Policy.t list -> before:Network.t -> after:Network.t -> int
 (** How many policies that held on [before] are violated on [after] —
     the blast radius of an attack that reached production. *)

@@ -19,6 +19,7 @@ let refusal_to_string = function
   | No_device -> "not connected to any device"
 
 type t = {
+  engine : Engine.t;
   technician : string;
   policies : Policy.t list;
   privilege : Privilege.t;
@@ -33,9 +34,11 @@ let record t ~action ~resource ~detail ~verdict =
     Heimdall_enforcer.Audit.append ~actor:t.technician ~action ~resource ~detail ~verdict
       t.audit
 
-let open_session ?(technician = "tech") ~reason ~production ~policies ~privilege () =
+let open_session ?(technician = "tech") ~engine ~reason ~production ~policies ~privilege
+    () =
   let t =
     {
+      engine;
       technician;
       policies;
       privilege;
@@ -52,10 +55,12 @@ let production t = t.network
 let audit t = t.audit
 let applied t = List.rev t.applied
 
+let dataplane t net = Engine.dataplane t.engine net
+
 (* Policies that currently hold; used to refuse changes that would break
    any of them. *)
 let held t =
-  let report = Policy.check_all (Dataplane.compute t.network) t.policies in
+  let report = Policy.check_all ~engine:t.engine (dataplane t t.network) t.policies in
   List.filter
     (fun p -> not (List.exists (fun (q, _) -> Policy.equal p q) report.violations))
     t.policies
@@ -65,7 +70,7 @@ let try_apply t node op =
   | Error m -> Error (Malformed m)
   | Ok candidate ->
       let held_before = held t in
-      let report = Policy.check_all (Dataplane.compute candidate) t.policies in
+      let report = Policy.check_all ~engine:t.engine (dataplane t candidate) t.policies in
       let newly_broken =
         List.filter
           (fun (p, _) -> List.exists (Policy.equal p) held_before)

@@ -30,6 +30,7 @@ val refusal_to_string : refusal -> string
 
 val open_session :
   ?technician:string ->
+  engine:Engine.t ->
   reason:string ->
   production:Network.t ->
   policies:Policy.t list ->

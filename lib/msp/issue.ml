@@ -10,8 +10,9 @@ type t = {
   probe : Flow.t;
 }
 
-let symptom_present t net =
-  not (Heimdall_verify.Trace.is_delivered (Heimdall_verify.Trace.trace (Dataplane.compute net) t.probe))
+let symptom_present ~engine t net =
+  let open Heimdall_verify in
+  not (Trace.is_delivered (Trace.trace (Engine.dataplane engine net) t.probe))
 
 let to_string t =
   Printf.sprintf "issue %s: %s (root cause: %s, %d-step fix)" t.name

@@ -15,7 +15,8 @@ type t = {
   probe : Flow.t;  (** Flow that exhibits the symptom (broken → fixed). *)
 }
 
-val symptom_present : t -> Network.t -> bool
-(** True when the probe flow does NOT get delivered (the issue shows). *)
+val symptom_present : engine:Heimdall_verify.Engine.t -> t -> Network.t -> bool
+(** True when the probe flow does NOT get delivered (the issue shows).
+    The network's dataplane comes from the engine's memo cache. *)
 
 val to_string : t -> string

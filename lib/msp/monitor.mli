@@ -36,17 +36,16 @@ type status = {
 }
 
 val create :
-  ?engine:Engine.t ->
-  ?obs:Heimdall_obs.Obs.t ->
+  engine:Engine.t ->
   ?injector:Heimdall_faults.Injector.t ->
   expected:Network.t ->
   observe:(unit -> Network.t) ->
   Policy.t list ->
   t
 (** [observe] is called once per cycle and must return the current live
-    network (tests swap in a mutable ref).  Without [?obs] the engine's
-    context (if any) is used.  Without [?engine] dataplanes are computed
-    directly — fine for tests, wasteful for a real loop. *)
+    network (tests swap in a mutable ref).  Drift re-verification builds
+    dataplanes through the engine's memo cache and reports to the
+    engine's context, if it has one. *)
 
 val check : t -> string
 (** Run one cycle synchronously; returns the cycle result, one of

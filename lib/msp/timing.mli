@@ -30,14 +30,3 @@ val twin_boot_per_node_s : float
 
 val verify_review_s : float
 (** Operator acknowledging the verification/scheduling report (4 s). *)
-
-val now : unit -> float
-(** Raw wall clock ([Unix.gettimeofday]); {b not} monotonic.  Prefer
-    {!elapsed} for durations. *)
-
-val elapsed : (unit -> 'a) -> 'a * float
-(** [elapsed f] runs [f] and returns its result with the wall-clock
-    seconds it took, clamped at zero so a backwards clock step (NTP
-    adjustment) can never yield a negative duration.  An alias for
-    {!Heimdall_obs.Clock.elapsed} — every measured component in the
-    tree routes through that single helper. *)

@@ -1,6 +1,6 @@
 open Heimdall_control
-open Heimdall_verify
 open Heimdall_twin
+module Clock = Heimdall_obs.Clock
 
 type step = { label : string; human_s : float; compute_s : float }
 
@@ -34,19 +34,16 @@ let run_to_string r =
     r.steps;
   Buffer.contents buf
 
-let probe_resolved (issue : Issue.t) net =
-  Trace.is_delivered (Trace.trace (Dataplane.compute net) issue.probe)
-
 (* Human time for executing a prepared script: one connect is already
    counted separately, so only the per-command cost accrues here. *)
 let script_human commands = float_of_int (List.length commands) *. Timing.per_command_s
 
-let run_current ~production ~(issue : Issue.t) =
+let run_current ~engine ~production ~(issue : Issue.t) =
   let broken = issue.inject production in
   let session = Rmm.open_direct_session broken in
   let connect = { label = "connect"; human_s = Timing.connect_s; compute_s = 0.0 } in
   let (_ : (string, Session.error) result list), ops_compute =
-    Timing.elapsed (fun () -> Session.exec_many session issue.fix_commands)
+    Clock.elapsed (fun () -> Session.exec_many session issue.fix_commands)
   in
   let operations =
     {
@@ -61,20 +58,16 @@ let run_current ~production ~(issue : Issue.t) =
     workflow = "current";
     issue = issue.name;
     steps = [ connect; operations; save ];
-    resolved = probe_resolved issue final_network;
+    resolved = not (Issue.symptom_present ~engine issue final_network);
     denied = Session.denied_count session;
     session;
     outcome = None;
     final_network;
   }
 
-let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
-    ~production ~policies ~(issue : Issue.t) () =
-  let obs =
-    match obs with
-    | Some _ -> obs
-    | None -> Option.bind engine Heimdall_verify.Engine.obs
-  in
+let run_heimdall ?(strategy = Slicer.Task) ~engine ?(in_flight = []) ~production ~policies
+    ~(issue : Issue.t) () =
+  let obs = Heimdall_verify.Engine.obs engine in
   (* The whole run is one root span named "session": every stage below —
      and the enforcer's audit-trail correlation record — hangs off it. *)
   Heimdall_obs.Obs.span obs "session"
@@ -84,7 +77,7 @@ let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
       (* Step 1: generate the Privilege_msp. *)
       let (slice, privilege), privgen_compute =
         Heimdall_obs.Obs.span obs "workflow.generate_privilege" (fun () ->
-            Timing.elapsed (fun () ->
+            Clock.elapsed (fun () ->
                 let slice =
                   Twin.slice_nodes ~strategy ?obs ~production:broken
                     ~endpoints:issue.ticket.endpoints ()
@@ -131,7 +124,7 @@ let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
       (* Step 2: build the twin (slice, scrub, boot, precompute dataplane). *)
       let emulation, twin_compute =
         Heimdall_obs.Obs.span obs "workflow.twin_setup" (fun () ->
-            Timing.elapsed (fun () ->
+            Clock.elapsed (fun () ->
                 let em =
                   Twin.build ~strategy ?obs ~production:broken
                     ~endpoints:issue.ticket.endpoints ()
@@ -152,7 +145,7 @@ let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
         Heimdall_obs.Obs.span obs "workflow.operations"
           ~attrs:[ ("commands", string_of_int (List.length issue.fix_commands)) ]
           (fun () ->
-            Timing.elapsed (fun () -> Session.exec_many session issue.fix_commands))
+            Clock.elapsed (fun () -> Session.exec_many session issue.fix_commands))
       in
       let operations =
         {
@@ -164,8 +157,8 @@ let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
       (* Step 3: verify changes and schedule them into production. *)
       let outcome, verify_compute =
         Heimdall_obs.Obs.span obs "workflow.verify" (fun () ->
-            Timing.elapsed (fun () ->
-                Heimdall_enforcer.Enforcer.process ?engine ?obs ~in_flight
+            Clock.elapsed (fun () ->
+                Heimdall_enforcer.Enforcer.process ~engine ~in_flight
                   ~production:broken ~policies ~privilege ~session ()))
       in
       let verify =
@@ -188,7 +181,7 @@ let run_heimdall ?(strategy = Slicer.Task) ?engine ?obs ?(in_flight = [])
           steps = [ privgen; twin_setup; connect; operations; verify; save ];
           resolved =
             outcome.Heimdall_enforcer.Enforcer.approved
-            && probe_resolved issue final_network;
+            && not (Issue.symptom_present ~engine issue final_network);
           denied = Session.denied_count session;
           session;
           outcome = Some outcome;

@@ -28,15 +28,14 @@ type run = {
 val total_s : run -> float
 val run_to_string : run -> string
 
-val run_current : production:Network.t -> issue:Issue.t -> run
+val run_current : engine:Engine.t -> production:Network.t -> issue:Issue.t -> run
 (** Today's workflow: connect with full access, execute the fix script
     directly against production, save.  (The issue is injected before the
     session starts.) *)
 
 val run_heimdall :
   ?strategy:Heimdall_twin.Slicer.strategy ->
-  ?engine:Engine.t ->
-  ?obs:Heimdall_obs.Obs.t ->
+  engine:Engine.t ->
   ?in_flight:(string * Heimdall_config.Change.t list) list ->
   production:Network.t ->
   policies:Policy.t list ->
@@ -54,8 +53,9 @@ val run_heimdall :
     conflict mediation stage (see {!Heimdall_enforcer.Enforcer.process});
     a colliding session comes back held, not approved.
 
-    With [?engine] the verification stages share its memoized dataplanes
-    and domain pool.  With [?obs] (or an engine carrying one) the whole
-    run is a root span named ["session"] with one child span per step,
-    and the enforcer chains the root span id into the audit trail.  The
-    run's verdicts are byte-identical with or without instrumentation. *)
+    The verification stages and the resolution probe share the engine's
+    memoized dataplanes and domain pool.  With a context on the engine
+    the whole run is a root span named ["session"] with one child span
+    per step, and the enforcer chains the root span id into the audit
+    trail.  The run's verdicts are byte-identical with or without
+    instrumentation. *)

@@ -71,32 +71,42 @@ let respond fd ~code ~content_type body =
 (* Request parsing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Read until the header terminator (we never need a body), bounded so a
-   hostile peer cannot make us buffer without limit. *)
+(* Every connection must deliver its request headers within this many
+   seconds of being accepted.  The accept loop serves one connection at a
+   time, so without a deadline a client that connects and sends nothing
+   would block every later scrape — and [stop], which joins the loop. *)
+let read_deadline_s = 1.0
+
+(* Whether a header terminator ("\r\n\r\n" or "\n\n") ends at byte [i]. *)
+let ends_headers buf i =
+  let at j c = j >= 0 && Buffer.nth buf j = c in
+  at i '\n' && (at (i - 1) '\n' || (at (i - 1) '\r' && at (i - 2) '\n' && at (i - 3) '\r'))
+
+(* Read until the header terminator (we never need a body), bounded in
+   size so a hostile peer cannot make us buffer without limit, and in
+   time by [read_deadline_s]. *)
 let read_request fd =
   let limit = 8192 in
+  let deadline = Clock.now_s () +. read_deadline_s in
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 512 in
   let rec go () =
-    if Buffer.length buf > limit then None
+    let remaining = deadline -. Clock.now_s () in
+    if Buffer.length buf > limit || remaining <= 0.0 then None
     else
-      let headers_done () =
-        let s = Buffer.contents buf in
-        let has sub =
-          let n = String.length sub and m = String.length s in
-          let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-          at 0
-        in
-        has "\r\n\r\n" || has "\n\n"
-      in
-      if headers_done () then Some (Buffer.contents buf)
-      else
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> if Buffer.length buf = 0 then None else Some (Buffer.contents buf)
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      match Unix.select [ fd ] [] [] remaining with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | [], _, _ -> None
+      | _ -> (
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+          | 0 -> if Buffer.length buf = 0 then None else Some (Buffer.contents buf)
+          | n ->
+              let first_new = Buffer.length buf in
+              Buffer.add_subbytes buf chunk 0 n;
+              (* Only the bytes just read can complete a terminator. *)
+              let rec scan i = i < Buffer.length buf && (ends_headers buf i || scan (i + 1)) in
+              if scan first_new then Some (Buffer.contents buf) else go ())
   in
   try go () with Unix.Unix_error _ -> None
 

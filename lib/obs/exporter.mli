@@ -10,7 +10,10 @@
     - [/spans] — recent finished spans as an indented tree
     - [/events] — the event ring tail (plus [length]/[dropped]) as JSON
 
-    Malformed requests get 400, non-GET 405, unknown paths 404.  Every
+    Malformed requests get 400, non-GET 405, unknown paths 404.  A
+    connection that has not sent its request headers within a fixed
+    one-second deadline also gets 400, so a silent client can hold up
+    the (one-at-a-time) accept loop, and {!stop}, for at most that long.  Every
     request increments [exporter.requests{path="..."}] in the served
     registry, before the response body renders — so even the first
     /metrics scrape observes itself.  Serving only reads snapshots — it never influences the

@@ -295,30 +295,27 @@ let check_ticket (c : Compile.compiled) ?network (t : Plan_lint.ticket) =
 
 (* ---------------- entry point ---------------- *)
 
-let fan ?engine ~phase f items =
-  match engine with
-  | None -> List.concat_map f items
-  | Some e ->
-      Engine.phase e phase (fun () ->
-          List.concat (Engine.map ~min_per_domain:1 e f items))
+let fan ~engine ~phase f items =
+  Engine.phase engine phase (fun () ->
+      List.concat (Engine.map ~min_per_domain:1 engine f items))
 
-let check ?engine ?obs ?(policies = []) ?(tickets = []) ?network c =
-  let obs = match obs with Some _ -> obs | None -> Option.bind engine Engine.obs in
+let check ~engine ?(policies = []) ?(tickets = []) ?network c =
+  let obs = Engine.obs engine in
   Heimdall_obs.Obs.span obs "poltree.check" (fun () ->
       let structural =
-        fan ?engine ~phase:"poltree/nodes"
+        fan ~engine ~phase:"poltree/nodes"
           (fun cn -> check_node c cn @ check_pol006 c cn)
           c.Compile.nodes
       in
       let refinement =
-        fan ?engine ~phase:"poltree/policies" (fun p -> check_policy c p) policies
+        fan ~engine ~phase:"poltree/policies" (fun p -> check_policy c p) policies
       in
       let coverage =
         if policies = [] then []
         else List.concat_map (check_leaf_coverage policies) c.Compile.leaves
       in
       let privilege =
-        fan ?engine ~phase:"poltree/tickets" (fun t -> check_ticket c ?network t) tickets
+        fan ~engine ~phase:"poltree/tickets" (fun t -> check_ticket c ?network t) tickets
       in
       let findings =
         List.sort Diagnostic.compare (structural @ refinement @ coverage @ privilege)

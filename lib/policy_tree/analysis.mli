@@ -25,18 +25,16 @@
     - POL006 (warning): removing a subtree leaves the compiled permit,
       decided and require sets unchanged — the subtree is redundant.
 
-    All fan-out goes through {!Heimdall_verify.Engine.map} when an
-    engine is given, and results are sorted with
-    {!Heimdall_lint.Diagnostic.compare}: reports are byte-identical at
-    any domain count. *)
+    All fan-out goes through {!Heimdall_verify.Engine.map}, and results
+    are sorted with {!Heimdall_lint.Diagnostic.compare}: reports are
+    byte-identical at any domain count. *)
 
 open Heimdall_control
 open Heimdall_lint
 open Heimdall_verify
 
 val check :
-  ?engine:Engine.t ->
-  ?obs:Heimdall_obs.Obs.t ->
+  engine:Engine.t ->
   ?policies:Policy.t list ->
   ?tickets:Plan_lint.ticket list ->
   ?network:Network.t ->

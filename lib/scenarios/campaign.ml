@@ -98,11 +98,11 @@ let routers net =
       | _ -> false)
     (Network.node_names net)
 
-let run_rmm_event net policies issues event =
+let run_rmm_event ~engine net policies issues event =
   match event.kind with
   | Honest_repair ->
       let issue = issue_for issues event in
-      let run = Workflow.run_current ~production:net ~issue in
+      let run = Workflow.run_current ~engine ~production:net ~issue in
       ((if run.Workflow.resolved then 1 else 0), 0, 0, 0)
   | Exfiltration ->
       let session = Rmm.open_direct_session net in
@@ -117,7 +117,7 @@ let run_rmm_event net policies issues event =
             Heimdall_twin.Session.exec_many session commands
           in
           let after = Rmm.resulting_network session in
-          (0, 0, Attacks.policy_damage ~policies ~before:net ~after, 0))
+          (0, 0, Attacks.policy_damage ~engine ~policies ~before:net ~after, 0))
   | Careless ->
       let session = Rmm.open_direct_session net in
       let (_ : (string, Heimdall_twin.Session.error) result list) =
@@ -125,7 +125,7 @@ let run_rmm_event net policies issues event =
           (Attacks.erase_gateway_commands ~gateway:(gateway_of net))
       in
       let after = Rmm.resulting_network session in
-      (0, 0, Attacks.policy_damage ~policies ~before:net ~after, 0)
+      (0, 0, Attacks.policy_damage ~engine ~policies ~before:net ~after, 0)
 
 let heimdall_session_for net ticket =
   let slice =
@@ -145,11 +145,11 @@ let generic_ticket net =
   Ticket.make ~id:"CAMPAIGN" ~kind:Ticket.Connectivity ~description:"campaign event"
     ~endpoints
 
-let run_heimdall_event net policies issues event =
+let run_heimdall_event ~engine net policies issues event =
   match event.kind with
   | Honest_repair ->
       let issue = issue_for issues event in
-      let run = Workflow.run_heimdall ~production:net ~policies ~issue () in
+      let run = Workflow.run_heimdall ~engine ~production:net ~policies ~issue () in
       ((if run.Workflow.resolved then 1 else 0), 0, 0, 0)
   | Exfiltration ->
       let session, _ = heimdall_session_for net (generic_ticket net) in
@@ -164,13 +164,13 @@ let run_heimdall_event net policies issues event =
             Heimdall_twin.Session.exec_many session commands
           in
           let outcome =
-            Heimdall_enforcer.Enforcer.process ~production:net ~policies ~privilege
-              ~session ()
+            Heimdall_enforcer.Enforcer.process ~engine ~production:net ~policies
+              ~privilege ~session ()
           in
           let after =
             Option.value outcome.Heimdall_enforcer.Enforcer.updated ~default:net
           in
-          let damage = Attacks.policy_damage ~policies ~before:net ~after in
+          let damage = Attacks.policy_damage ~engine ~policies ~before:net ~after in
           (0, 0, damage, (if damage = 0 then 1 else 0)))
   | Careless ->
       let session, _ = heimdall_session_for net (generic_ticket net) in
@@ -181,7 +181,7 @@ let run_heimdall_event net policies issues event =
       let blocked = List.exists Result.is_error results in
       (0, 0, 0, (if blocked then 1 else 0))
 
-let run ?(seed = 42) ?(tickets = 40) ?(malicious_pct = 20) net policies issues =
+let run ~engine ?(seed = 42) ?(tickets = 40) ?(malicious_pct = 20) net policies issues =
   (* No blanket issue check here: an all-malicious campaign never draws
      an issue, and [issue_for] reports the empty case clearly if an
      honest repair does come up. *)
@@ -190,7 +190,7 @@ let run ?(seed = 42) ?(tickets = 40) ?(malicious_pct = 20) net policies issues =
     let repaired, leaked, damaged, blocked =
       List.fold_left
         (fun (r, l, d, b) event ->
-          let r', l', d', b' = handler net policies issues event in
+          let r', l', d', b' = handler ~engine net policies issues event in
           (r + r', l + l', d + d', b + b'))
         (0, 0, 0, 0) stream
     in

@@ -38,8 +38,9 @@ val events : seed:int -> tickets:int -> malicious_pct:int -> event list
 (** A reproducible event stream: [malicious_pct]% of events are drawn
     uniformly from the three hostile kinds, the rest are honest repairs. *)
 
-val run : ?seed:int -> ?tickets:int -> ?malicious_pct:int -> Network.t ->
-  Heimdall_verify.Policy.t list -> Heimdall_msp.Issue.t list -> tally list
+val run :
+  engine:Heimdall_verify.Engine.t -> ?seed:int -> ?tickets:int -> ?malicious_pct:int ->
+  Network.t -> Heimdall_verify.Policy.t list -> Heimdall_msp.Issue.t list -> tally list
 (** Replay the same event stream under both models on the given network
     (defaults: seed 42, 40 tickets, 20% malicious).  Honest repairs pick
     (round-robin) from the provided issues. *)

@@ -1,4 +1,3 @@
-open Heimdall_control
 open Heimdall_verify
 open Heimdall_twin
 open Heimdall_faults
@@ -55,11 +54,9 @@ let exec_with_retry session ~max_attempts lines =
     lines;
   !retries
 
-let run ?engine ?obs ?(max_attempts = Heimdall_enforcer.Applier.default_max_attempts)
+let run ~engine ?(max_attempts = Heimdall_enforcer.Applier.default_max_attempts)
     ~(scenario : Experiments.scenario) ~(issue : Issue.t) ~seed () =
-  let obs =
-    match obs with Some _ -> obs | None -> Option.bind engine Engine.obs
-  in
+  let obs = Engine.obs engine in
   Heimdall_obs.Obs.span obs "chaos"
     ~attrs:
       [
@@ -92,7 +89,7 @@ let run ?engine ?obs ?(max_attempts = Heimdall_enforcer.Applier.default_max_atte
       Injector.add_faults injector
         (Fault.for_apply ~seed ~network:broken ~steps);
       let outcome =
-        Heimdall_enforcer.Enforcer.process ?engine ?obs ~injector ~max_attempts
+        Heimdall_enforcer.Enforcer.process ~engine ~injector ~max_attempts
           ~production:broken ~policies ~privilege ~session ()
       in
       let final =
@@ -100,13 +97,9 @@ let run ?engine ?obs ?(max_attempts = Heimdall_enforcer.Applier.default_max_atte
         | Some net -> net
         | None -> broken
       in
-      let dataplane net =
-        match engine with
-        | Some e -> Engine.dataplane e net
-        | None -> Dataplane.compute net
-      in
+      let dataplane net = Engine.dataplane engine net in
       let held_at_start =
-        let report = Policy.check_all ?engine ?obs (dataplane broken) policies in
+        let report = Policy.check_all ~engine (dataplane broken) policies in
         List.filter
           (fun p ->
             not
@@ -116,14 +109,14 @@ let run ?engine ?obs ?(max_attempts = Heimdall_enforcer.Applier.default_max_atte
           policies
       in
       let surviving_violations =
-        let report = Policy.check_all ?engine ?obs (dataplane final) policies in
+        let report = Policy.check_all ~engine (dataplane final) policies in
         List.filter
           (fun (p, _) -> List.exists (Policy.equal p) held_at_start)
           report.Policy.violations
       in
       let resolved =
         outcome.Heimdall_enforcer.Enforcer.approved
-        && Trace.is_delivered (Trace.trace (dataplane final) issue.probe)
+        && not (Issue.symptom_present ~engine issue final)
       in
       let occurrences = Injector.occurrences injector in
       let kinds =

@@ -37,8 +37,7 @@ val passed : result -> bool
     transactional apply did not end in a rollback. *)
 
 val run :
-  ?engine:Engine.t ->
-  ?obs:Heimdall_obs.Obs.t ->
+  engine:Engine.t ->
   ?max_attempts:int ->
   scenario:Experiments.scenario ->
   issue:Heimdall_msp.Issue.t ->

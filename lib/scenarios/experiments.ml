@@ -2,6 +2,7 @@ open Heimdall_net
 open Heimdall_control
 open Heimdall_verify
 open Heimdall_msp
+module Clock = Heimdall_obs.Clock
 
 let cached f =
   let cell = ref None in
@@ -119,7 +120,7 @@ let cell_of_run (r : Workflow.run) =
     resolved = r.resolved;
   }
 
-let fig7 ?(network = `Enterprise) () =
+let fig7 ~engine ?(network = `Enterprise) () =
   let net, policies, issues =
     match network with
     | `Enterprise ->
@@ -132,8 +133,8 @@ let fig7 ?(network = `Enterprise) () =
   List.concat_map
     (fun issue ->
       [
-        cell_of_run (Workflow.run_current ~production:net ~issue);
-        cell_of_run (Workflow.run_heimdall ~production:net ~policies ~issue ());
+        cell_of_run (Workflow.run_current ~engine ~production:net ~issue);
+        cell_of_run (Workflow.run_heimdall ~engine ~production:net ~policies ~issue ());
       ])
     issues
 
@@ -166,13 +167,13 @@ let fig7_overhead cells =
 (* Figures 8 & 9                                                    *)
 (* --------------------------------------------------------------- *)
 
-let fig8 ?engine () =
+let fig8 ~engine () =
   let net, policies = enterprise () in
-  Metrics.sweep_all ?engine ~production:net ~policies ()
+  Metrics.sweep_all ~engine ~production:net ~policies ()
 
-let fig9 ?engine () =
+let fig9 ~engine () =
   let net, policies = university () in
-  Metrics.sweep_all ?engine ~production:net ~policies ()
+  Metrics.sweep_all ~engine ~production:net ~policies ()
 
 let render_sweep ~title summaries =
   let buf = Buffer.create 256 in
@@ -203,13 +204,15 @@ let ablation_verify () =
   let issue = List.nth (University.issues net) 1 (* ospf *) in
   let broken = issue.Issue.inject net in
   let actions = List.length issue.Issue.fix_commands in
+  (* Each verification is from scratch: a fresh engine shares no cache
+     with the previous one. *)
   let check () =
-    let dp = Dataplane.compute broken in
-    ignore (Policy.check_all dp policies)
+    let engine = Engine.create ~domains:1 () in
+    ignore (Policy.check_all ~engine (Engine.dataplane engine broken) policies)
   in
-  let (), batch_s = Timing.elapsed check in
+  let (), batch_s = Clock.elapsed check in
   let (), continuous_s =
-    Timing.elapsed (fun () ->
+    Clock.elapsed (fun () ->
         for _ = 1 to actions do
           check ()
         done)
@@ -307,7 +310,7 @@ let ablation_audit () =
   let records = 1000 in
   let audit = ref Audit.empty in
   let (), append_s =
-    Timing.elapsed (fun () ->
+    Clock.elapsed (fun () ->
         for i = 1 to records do
           audit :=
             Audit.append ~actor:"tech" ~action:"acl.rule" ~resource:"r8"
@@ -316,11 +319,11 @@ let ablation_audit () =
               ~verdict:"allowed" !audit
         done)
   in
-  let verified, verify_s = Timing.elapsed (fun () -> Audit.verify !audit = Ok ()) in
+  let verified, verify_s = Clock.elapsed (fun () -> Audit.verify !audit = Ok ()) in
   let enclave = Enforcer.default_enclave in
   let iterations = 100 in
   let (), seal_total_s =
-    Timing.elapsed (fun () ->
+    Clock.elapsed (fun () ->
         for _ = 1 to iterations do
           let sealed = Enclave.seal enclave (Audit.head !audit) in
           match Enclave.unseal enclave sealed with
@@ -353,9 +356,9 @@ let render_ablation_audit a =
 (* Campaign                                                          *)
 (* --------------------------------------------------------------- *)
 
-let campaign ?seed ?tickets ?malicious_pct () =
+let campaign ~engine ?seed ?tickets ?malicious_pct () =
   let net, policies = enterprise () in
-  Campaign.run ?seed ?tickets ?malicious_pct net policies (Enterprise.issues net)
+  Campaign.run ~engine ?seed ?tickets ?malicious_pct net policies (Enterprise.issues net)
 
 (* --------------------------------------------------------------- *)
 (* Attack containment                                               *)
@@ -403,7 +406,7 @@ let exfiltration_scenario () =
     heimdall_blocked = heimdall.leaked = [] && heimdall.denied > 0;
   }
 
-let malicious_acl_scenario () =
+let malicious_acl_scenario ~engine () =
   let net, policies = enterprise () in
   let commands =
     Attacks.malicious_acl_commands ~acl:"SRV_PROT" ~seq:5
@@ -415,7 +418,7 @@ let malicious_acl_scenario () =
     Heimdall_twin.Session.exec_many baseline_session commands
   in
   let baseline_after = Rmm.resulting_network baseline_session in
-  let baseline_damage = Attacks.policy_damage ~policies ~before:net ~after:baseline_after in
+  let baseline_damage = Attacks.policy_damage ~engine ~policies ~before:net ~after:baseline_after in
   (* Heimdall: same commands inside a twin for a server-connectivity
      ticket; the monitor allows them (acl edits are in-class), but the
      enforcer's policy verification rejects the import. *)
@@ -429,7 +432,8 @@ let malicious_acl_scenario () =
     Heimdall_twin.Session.exec_many session commands
   in
   let outcome =
-    Heimdall_enforcer.Enforcer.process ~production:net ~policies ~privilege ~session ()
+    Heimdall_enforcer.Enforcer.process ~engine ~production:net ~policies ~privilege
+      ~session ()
   in
   let heimdall_after =
     Option.value outcome.Heimdall_enforcer.Enforcer.updated ~default:net
@@ -439,11 +443,11 @@ let malicious_acl_scenario () =
     baseline_leaked = 0;
     baseline_damage;
     heimdall_leaked = 0;
-    heimdall_damage = Attacks.policy_damage ~policies ~before:net ~after:heimdall_after;
+    heimdall_damage = Attacks.policy_damage ~engine ~policies ~before:net ~after:heimdall_after;
     heimdall_blocked = not outcome.Heimdall_enforcer.Enforcer.approved;
   }
 
-let careless_erase_scenario () =
+let careless_erase_scenario ~engine () =
   let net, policies = enterprise () in
   (* The technician means to work on the isp ticket (root cause r1) but
      fat-fingers an erase on r4 — the office gateway every S1 host
@@ -454,14 +458,15 @@ let careless_erase_scenario () =
     Heimdall_twin.Session.exec_many baseline_session commands
   in
   let baseline_after = Rmm.resulting_network baseline_session in
-  let baseline_damage = Attacks.policy_damage ~policies ~before:net ~after:baseline_after in
+  let baseline_damage = Attacks.policy_damage ~engine ~policies ~before:net ~after:baseline_after in
   let ticket = (List.nth (Enterprise.issues net) 2).Issue.ticket in
   let session, privilege = heimdall_session net ticket in
   let (_ : (string, Heimdall_twin.Session.error) result list) =
     Heimdall_twin.Session.exec_many session commands
   in
   let outcome =
-    Heimdall_enforcer.Enforcer.process ~production:net ~policies ~privilege ~session ()
+    Heimdall_enforcer.Enforcer.process ~engine ~production:net ~policies ~privilege
+      ~session ()
   in
   let heimdall_after =
     Option.value outcome.Heimdall_enforcer.Enforcer.updated ~default:net
@@ -471,12 +476,16 @@ let careless_erase_scenario () =
     baseline_leaked = 0;
     baseline_damage;
     heimdall_leaked = 0;
-    heimdall_damage = Attacks.policy_damage ~policies ~before:net ~after:heimdall_after;
+    heimdall_damage = Attacks.policy_damage ~engine ~policies ~before:net ~after:heimdall_after;
     heimdall_blocked = Heimdall_twin.Session.denied_count session > 0;
   }
 
-let attack_containment () =
-  [ exfiltration_scenario (); malicious_acl_scenario (); careless_erase_scenario () ]
+let attack_containment ~engine () =
+  [
+    exfiltration_scenario ();
+    malicious_acl_scenario ~engine ();
+    careless_erase_scenario ~engine ();
+  ]
 
 let render_containment rows =
   let buf = Buffer.create 512 in

@@ -28,7 +28,9 @@ type fig7_cell = {
   resolved : bool;
 }
 
-val fig7 : ?network:[ `Enterprise | `University ] -> unit -> fig7_cell list
+val fig7 :
+  engine:Heimdall_verify.Engine.t -> ?network:[ `Enterprise | `University ] -> unit ->
+  fig7_cell list
 (** Default [`Enterprise] (the paper omits the university plot "due to
     similarity"). *)
 
@@ -40,12 +42,11 @@ val fig7_overhead : fig7_cell list -> (string * float) list
 
 (** {2 Figures 8 & 9 — attack surface vs feasibility} *)
 
-val fig8 : ?engine:Heimdall_verify.Engine.t -> unit -> Metrics.summary list
-(** Enterprise sweep: All / Neighbor / Heimdall.  [?engine] selects the
-    verification engine (domain pool + caches); the default is a private
-    single-domain engine. *)
+val fig8 : engine:Heimdall_verify.Engine.t -> unit -> Metrics.summary list
+(** Enterprise sweep: All / Neighbor / Heimdall, on the engine's domain
+    pool and caches. *)
 
-val fig9 : ?engine:Heimdall_verify.Engine.t -> unit -> Metrics.summary list
+val fig9 : engine:Heimdall_verify.Engine.t -> unit -> Metrics.summary list
 (** University sweep. *)
 
 val render_sweep : title:string -> Metrics.summary list -> string
@@ -61,7 +62,8 @@ type verify_ablation = {
 
 val ablation_verify : unit -> verify_ablation
 (** Runs on the university network (the paper's "25 s to check 175
-    constraints" strawman). *)
+    constraints" strawman).  Every verification runs on a fresh
+    single-domain engine, so each one builds its dataplane from scratch. *)
 
 val render_ablation_verify : verify_ablation -> string
 
@@ -91,7 +93,9 @@ val render_ablation_audit : audit_ablation -> string
 
 (** {2 Campaign simulation (longitudinal extension)} *)
 
-val campaign : ?seed:int -> ?tickets:int -> ?malicious_pct:int -> unit -> Campaign.tally list
+val campaign :
+  engine:Heimdall_verify.Engine.t -> ?seed:int -> ?tickets:int -> ?malicious_pct:int ->
+  unit -> Campaign.tally list
 (** Run the campaign on the enterprise network. *)
 
 (** {2 Attack containment (motivating incidents, §2.2)} *)
@@ -105,7 +109,7 @@ type containment = {
   heimdall_blocked : bool;  (** Monitor or enforcer stopped the attack. *)
 }
 
-val attack_containment : unit -> containment list
+val attack_containment : engine:Heimdall_verify.Engine.t -> unit -> containment list
 val render_containment : containment list -> string
 
 (** {2 Helpers} *)

@@ -139,16 +139,7 @@ let incident_endpoints engine net dp policies healthy_violated (failed : Topolog
       | Some peer -> [ failed.node; peer.node ]
       | None -> [ failed.node ])
 
-(* Resolve the optional engine exactly once per entry point: the prepare
-   and evaluate passes must share one engine, or the dataplane/trace
-   caches warmed by the sweep are thrown away before evaluation (and the
-   stats split across two engines nobody can see). *)
-let resolve_engine = function
-  | Some e -> e
-  | None -> Engine.create ~domains:1 ()
-
-let sweep_points ?engine ~production ~policies () =
-  let engine = resolve_engine engine in
+let sweep_points ~engine ~production ~policies () =
   Engine.phase engine "sweep/prepare" @@ fun () ->
   (* Shared per-network data: the healthy dataplane and its traces are
      computed once and reused by every sweep point. *)
@@ -200,8 +191,7 @@ let summarise technique points =
       List.fold_left (fun acc p -> acc +. p.attack_surface) 0.0 points /. float_of_int n;
   }
 
-let evaluate_technique ?engine ~production ~policies technique prepared =
-  let engine = resolve_engine engine in
+let evaluate_technique ~engine ~production ~policies technique prepared =
   Engine.phase engine ("sweep/evaluate-" ^ technique_to_string technique) @@ fun () ->
   let points =
     Engine.map engine
@@ -217,13 +207,11 @@ let evaluate_technique ?engine ~production ~policies technique prepared =
   in
   summarise technique points
 
-let sweep ?engine ~production ~policies technique =
-  let engine = resolve_engine engine in
+let sweep ~engine ~production ~policies technique =
   let prepared = sweep_points ~engine ~production ~policies () in
   evaluate_technique ~engine ~production ~policies technique prepared
 
-let sweep_all ?engine ~production ~policies () =
-  let engine = resolve_engine engine in
+let sweep_all ~engine ~production ~policies () =
   let prepared = sweep_points ~engine ~production ~policies () in
   List.map
     (fun t -> evaluate_technique ~engine ~production ~policies t prepared)

@@ -39,16 +39,16 @@ val failure_candidates : Network.t -> Topology.endpoint list
     routers and firewalls. *)
 
 val sweep :
-  ?engine:Engine.t ->
+  engine:Engine.t ->
   production:Network.t -> policies:Policy.t list -> technique -> summary
-(** One technique over every failure candidate.  With [?engine] the
-    points run across the engine's domain pool and dataplanes/traces are
-    memoized; without one, a private single-domain engine keeps the
-    sequential path fully deterministic.  Verdicts are identical for any
-    domain count. *)
+(** One technique over every failure candidate.  The points run across
+    the engine's domain pool and dataplanes/traces are memoized; the
+    prepare and evaluate passes share the one engine, so the caches the
+    sweep warms serve its evaluation too.  Verdicts are identical for
+    any domain count. *)
 
 val sweep_all :
-  ?engine:Engine.t ->
+  engine:Engine.t ->
   production:Network.t -> policies:Policy.t list -> unit -> summary list
 (** All three techniques over the same failures (shared per-failure
     work); order: All, Neighbor, Heimdall. *)

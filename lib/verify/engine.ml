@@ -70,9 +70,11 @@ type shard = {
    come out of the digest cache, so equal networks share one value. *)
 type flow_cache = { dp : Dataplane.t; shards : shard array }
 
-type t = {
+(* The shared state of an engine: pool, caches and counters.  Every view
+   of one engine (see [scoped]) points at the same [core], so a view never
+   splits a cache or a counter from its parent. *)
+type core = {
   domains : int;
-  obs : Heimdall_obs.Obs.t option;
   cache_dir : string option;
   pool : pool option;  (* [Some] iff [domains > 1] *)
   lock : Mutex.t;  (* guards dp_cache, flow_caches, phases, domains_used *)
@@ -90,6 +92,8 @@ type t = {
   mutable phases : (string * float) list;  (* reverse first-use order *)
 }
 
+type t = { core : core; obs : Heimdall_obs.Obs.t option }
+
 (* Sized so a full failure sweep (healthy dataplane + one per failure
    candidate; ~104 on the university network) keeps every flow cache
    alive: a repeated sweep then answers from cache instead of re-tracing
@@ -100,7 +104,7 @@ let max_flow_caches = 256
 let default_domains () = min 8 (max 1 (Domain.recommended_domain_count ()))
 
 let shutdown t =
-  match t.pool with
+  match t.core.pool with
   | None -> ()
   | Some pool ->
       let helpers =
@@ -124,10 +128,9 @@ let signal_shutdown pool =
 
 let create ?domains ?obs ?cache_dir () =
   let domains = max 1 (Option.value domains ~default:(default_domains ())) in
-  let t =
+  let core =
     {
       domains;
-      obs;
       cache_dir;
       pool = (if domains > 1 then Some (make_pool (domains - 1)) else None);
       lock = Mutex.create ();
@@ -147,16 +150,20 @@ let create ?domains ?obs ?cache_dir () =
   in
   (* An engine dropped without [shutdown] must not pin its helper domains
      forever: long-lived processes (the test runner, a future daemon)
-     would hit the runtime's domain limit. *)
-  Option.iter (fun pool -> Gc.finalise (fun _ -> signal_shutdown pool) t) t.pool;
-  t
+     would hit the runtime's domain limit.  The finaliser hangs off the
+     core, so it runs only once no view of the engine is left. *)
+  Option.iter (fun pool -> Gc.finalise (fun _ -> signal_shutdown pool) core) core.pool;
+  { core; obs }
 
-let domains t = t.domains
+let scoped t labels =
+  { t with obs = Option.map (fun o -> Heimdall_obs.Obs.scoped o labels) t.obs }
+
+let domains t = t.core.domains
 let obs t = t.obs
 
 let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  Mutex.lock t.core.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.core.lock) f
 
 (* ------------------------------------------------------------------ *)
 (* Memoized dataplanes: in-memory by network digest, optionally backed  *)
@@ -170,7 +177,7 @@ let persist_magic = "heimdall-dpcache-2\n"
 let persist_path dir key = Filename.concat dir (Digest.to_hex key ^ ".dp")
 
 let load_persistent t key =
-  match t.cache_dir with
+  match t.core.cache_dir with
   | None -> None
   | Some dir -> (
       match In_channel.open_bin (persist_path dir key) with
@@ -192,7 +199,7 @@ let rec mkdir_p dir =
   end
 
 let store_persistent t key dp =
-  match t.cache_dir with
+  match t.core.cache_dir with
   | None -> ()
   | Some dir -> (
       (* Best effort: a cache that cannot be written is just a cache that
@@ -213,9 +220,9 @@ let store_persistent t key dp =
 
 let dataplane ?base t net =
   let key = Network.digest net in
-  match locked t (fun () -> Hashtbl.find_opt t.dp_cache key) with
+  match locked t (fun () -> Hashtbl.find_opt t.core.dp_cache key) with
   | Some dp ->
-      Atomic.incr t.dp_hits;
+      Atomic.incr t.core.dp_hits;
       Heimdall_obs.Obs.incr t.obs "engine.dataplane.cache_hit";
       dp
   | None ->
@@ -223,15 +230,15 @@ let dataplane ?base t net =
         locked t (fun () ->
             (* Another domain may have raced us; keep the first value so
                every caller shares one physical dataplane. *)
-            match Hashtbl.find_opt t.dp_cache key with
+            match Hashtbl.find_opt t.core.dp_cache key with
             | Some existing -> existing
             | None ->
-                Hashtbl.replace t.dp_cache key dp;
+                Hashtbl.replace t.core.dp_cache key dp;
                 dp)
       in
       (match load_persistent t key with
       | Some dp ->
-          Atomic.incr t.dp_persistent_hits;
+          Atomic.incr t.core.dp_persistent_hits;
           Heimdall_obs.Obs.incr t.obs "engine.dataplane.persistent_hit";
           insert dp
       | None ->
@@ -239,11 +246,11 @@ let dataplane ?base t net =
             Heimdall_obs.Clock.elapsed (fun () ->
                 match base with
                 | Some b ->
-                    Atomic.incr t.dp_incremental;
+                    Atomic.incr t.core.dp_incremental;
                     Dataplane.recompute ~base:b net
                 | None -> Dataplane.compute net)
           in
-          Atomic.incr t.dp_built;
+          Atomic.incr t.core.dp_built;
           Heimdall_obs.Obs.incr t.obs "engine.dataplane.built";
           Heimdall_obs.Obs.observe t.obs "engine.dataplane.build_s" dt;
           store_persistent t key dp;
@@ -268,13 +275,13 @@ let make_shards () =
 
 (* Must be called under the lock. *)
 let flows_for t dp =
-  match List.find_opt (fun c -> c.dp == dp) t.flow_caches with
+  match List.find_opt (fun c -> c.dp == dp) t.core.flow_caches with
   | Some c ->
-      t.flow_caches <- c :: List.filter (fun c' -> c' != c) t.flow_caches;
+      t.core.flow_caches <- c :: List.filter (fun c' -> c' != c) t.core.flow_caches;
       c.shards
   | None ->
       let c = { dp; shards = make_shards () } in
-      t.flow_caches <- c :: take (max_flow_caches - 1) t.flow_caches;
+      t.core.flow_caches <- c :: take (max_flow_caches - 1) t.core.flow_caches;
       c.shards
 
 let trace t dp flow =
@@ -288,11 +295,11 @@ let trace t dp flow =
         if waited then begin
           (* Single-flight: someone else computed this flow while we
              waited — we reused their work instead of duplicating it. *)
-          Atomic.incr t.trace_coalesced;
+          Atomic.incr t.core.trace_coalesced;
           Heimdall_obs.Obs.incr t.obs "engine.trace.coalesced"
         end
         else begin
-          Atomic.incr t.trace_hits;
+          Atomic.incr t.core.trace_hits;
           Heimdall_obs.Obs.incr t.obs "engine.trace.cache_hit"
         end;
         r
@@ -313,7 +320,7 @@ let trace t dp flow =
             Mutex.unlock sh.sm;
             raise e
         in
-        Atomic.incr t.traces_run;
+        Atomic.incr t.core.traces_run;
         Heimdall_obs.Obs.incr t.obs "engine.trace.run";
         Mutex.lock sh.sm;
         Hashtbl.replace sh.tbl flow (Computed r);
@@ -340,10 +347,10 @@ let spawn_helper t pool =
   with
   | d -> Some d
   | exception _ ->
-      Atomic.incr t.spawn_fallbacks;
+      Atomic.incr t.core.spawn_fallbacks;
       Heimdall_obs.Obs.incr t.obs "engine.map.spawn_fallback";
       Heimdall_obs.Obs.set_gauge t.obs "engine.spawn_fallbacks"
-        (float_of_int (Atomic.get t.spawn_fallbacks));
+        (float_of_int (Atomic.get t.core.spawn_fallbacks));
       None
 
 (* Top the pool back up to its target helper count.  Called on every
@@ -381,15 +388,15 @@ let map ?(min_per_domain = default_min_per_domain) t f xs =
   let arr = Array.of_list xs in
   let n = Array.length arr in
   let engaged =
-    match t.pool with
+    match t.core.pool with
     | None -> 1
     | Some pool -> min (pool.target + 1) (max 1 (n / max 1 min_per_domain))
   in
   if engaged <= 1 then List.map f xs
   else begin
-    let pool = Option.get t.pool in
+    let pool = Option.get t.core.pool in
     ensure_helpers t pool;
-    locked t (fun () -> t.domains_used <- max t.domains_used engaged);
+    locked t (fun () -> t.core.domains_used <- max t.core.domains_used engaged);
     Heimdall_obs.Obs.set_gauge t.obs "engine.domains_used" (float_of_int engaged);
     Heimdall_obs.Obs.incr t.obs ~by:n "engine.map.items";
     let out = Array.make n None in
@@ -456,10 +463,10 @@ let phase t name f =
     (fun () ->
       let v, dt = Heimdall_obs.Clock.elapsed f in
       locked t (fun () ->
-          t.phases <-
-            (if List.mem_assoc name t.phases then
-               List.map (fun (n, s) -> if n = name then (n, s +. dt) else (n, s)) t.phases
-             else (name, dt) :: t.phases));
+          t.core.phases <-
+            (if List.mem_assoc name t.core.phases then
+               List.map (fun (n, s) -> if n = name then (n, s +. dt) else (n, s)) t.core.phases
+             else (name, dt) :: t.core.phases));
       Heimdall_obs.Obs.observe t.obs "engine.phase_s" ~labels:[ ("phase", name) ] dt;
       v)
 
@@ -479,30 +486,30 @@ type stats = {
 let stats t =
   locked t (fun () ->
       {
-        traces_run = Atomic.get t.traces_run;
-        trace_cache_hits = Atomic.get t.trace_hits;
-        trace_coalesced = Atomic.get t.trace_coalesced;
-        dataplanes_built = Atomic.get t.dp_built;
-        dataplanes_incremental = Atomic.get t.dp_incremental;
-        dataplane_cache_hits = Atomic.get t.dp_hits;
-        dataplane_persistent_hits = Atomic.get t.dp_persistent_hits;
-        domains_used = t.domains_used;
-        spawn_fallbacks = Atomic.get t.spawn_fallbacks;
-        phase_seconds = List.rev t.phases;
+        traces_run = Atomic.get t.core.traces_run;
+        trace_cache_hits = Atomic.get t.core.trace_hits;
+        trace_coalesced = Atomic.get t.core.trace_coalesced;
+        dataplanes_built = Atomic.get t.core.dp_built;
+        dataplanes_incremental = Atomic.get t.core.dp_incremental;
+        dataplane_cache_hits = Atomic.get t.core.dp_hits;
+        dataplane_persistent_hits = Atomic.get t.core.dp_persistent_hits;
+        domains_used = t.core.domains_used;
+        spawn_fallbacks = Atomic.get t.core.spawn_fallbacks;
+        phase_seconds = List.rev t.core.phases;
       })
 
 let reset_stats t =
   locked t (fun () ->
-      Atomic.set t.traces_run 0;
-      Atomic.set t.trace_hits 0;
-      Atomic.set t.trace_coalesced 0;
-      Atomic.set t.dp_built 0;
-      Atomic.set t.dp_incremental 0;
-      Atomic.set t.dp_hits 0;
-      Atomic.set t.dp_persistent_hits 0;
-      Atomic.set t.spawn_fallbacks 0;
-      t.domains_used <- 1;
-      t.phases <- [])
+      Atomic.set t.core.traces_run 0;
+      Atomic.set t.core.trace_hits 0;
+      Atomic.set t.core.trace_coalesced 0;
+      Atomic.set t.core.dp_built 0;
+      Atomic.set t.core.dp_incremental 0;
+      Atomic.set t.core.dp_hits 0;
+      Atomic.set t.core.dp_persistent_hits 0;
+      Atomic.set t.core.spawn_fallbacks 0;
+      t.core.domains_used <- 1;
+      t.core.phases <- [])
 
 let trace_hit_rate s =
   let total = s.trace_cache_hits + s.trace_coalesced + s.traces_run in
@@ -517,7 +524,7 @@ let runtime_sampler t () =
     if dp_total = 0 then 0.0 else float_of_int dp_answered /. float_of_int dp_total
   in
   [
-    ("engine.domains", float_of_int t.domains);
+    ("engine.domains", float_of_int t.core.domains);
     ("engine.domains_used", float_of_int s.domains_used);
     ("engine.trace.hit_rate", trace_hit_rate s);
     ("engine.dataplane.cache_hit_rate", dp_rate);

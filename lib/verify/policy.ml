@@ -86,26 +86,17 @@ let check dp p = verdict_of_trace p (Trace.trace dp p.flow)
 
 type report = { total : int; violations : (t * string) list }
 
-(* The effective context: an explicit [?obs] wins, otherwise the one the
-   engine was created with (so a pipeline carrying an obs-enabled engine
-   is instrumented end to end without re-threading). *)
-let effective_obs obs engine =
-  match obs with Some _ -> obs | None -> Option.bind engine Engine.obs
-
-let check_all ?engine ?obs dp policies =
-  let obs = effective_obs obs engine in
+let check_all ~engine dp policies =
+  let obs = Engine.obs engine in
   Heimdall_obs.Obs.span obs "policy.check_all"
     ~attrs:[ ("policies", string_of_int (List.length policies)) ]
     (fun () ->
+      (* Parallel fan-out; the per-dataplane flow cache means policies
+         sharing a flow trace it once. *)
       let verdicts =
-        match engine with
-        | None -> List.map (fun p -> (p, check dp p)) policies
-        | Some e ->
-            (* Parallel fan-out; the per-dataplane flow cache means policies
-               sharing a flow trace it once. *)
-            Engine.map e
-              (fun p -> (p, verdict_of_trace p (Engine.trace e dp p.flow)))
-              policies
+        Engine.map engine
+          (fun p -> (p, verdict_of_trace p (Engine.trace engine dp p.flow)))
+          policies
       in
       let violations =
         List.filter_map
@@ -123,4 +114,4 @@ let check_all ?engine ?obs dp policies =
       Heimdall_obs.Obs.incr obs ~by:violated "policy.violations";
       { total = List.length policies; violations })
 
-let holds_all ?engine ?obs dp policies = (check_all ?engine ?obs dp policies).violations = []
+let holds_all ~engine dp policies = (check_all ~engine dp policies).violations = []

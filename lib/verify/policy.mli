@@ -43,12 +43,11 @@ type report = {
   violations : (t * string) list;  (** Violated policies with reasons. *)
 }
 
-val check_all : ?engine:Engine.t -> ?obs:Heimdall_obs.Obs.t -> Dataplane.t -> t list -> report
-(** Check every policy.  With [?engine], checks fan out across the
-    engine's domain pool and traces are memoized; verdicts are identical
-    to the sequential path regardless of domain count.  With [?obs] (or
-    an engine that carries one) the check is a tracer span and feeds the
-    [policy.checked] / [policy.violations] counters; instrumentation
+val check_all : engine:Engine.t -> Dataplane.t -> t list -> report
+(** Check every policy.  Checks fan out across the engine's domain pool
+    and traces are memoized; verdicts are identical at any domain count.
+    With a context on the engine the check is a tracer span and feeds
+    the [policy.checked] / [policy.violations] counters; instrumentation
     never changes the report. *)
 
-val holds_all : ?engine:Engine.t -> ?obs:Heimdall_obs.Obs.t -> Dataplane.t -> t list -> bool
+val holds_all : engine:Engine.t -> Dataplane.t -> t list -> bool

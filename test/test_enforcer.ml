@@ -8,6 +8,9 @@ open Heimdall_privilege
 open Heimdall_enforcer
 module Enterprise = Heimdall_scenarios.Enterprise
 
+(* The one verification context shared by this file's tests. *)
+let engine = Heimdall_verify.Engine.create ~domains:1 ()
+
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
@@ -186,7 +189,7 @@ let test_verifier_accepts_benign () =
     [ Change.v "r4" (Change.Set_ospf_cost { iface = "eth0"; cost = Some 20 }) ]
   in
   let outcome =
-    Verifier.verify ~production:net ~policies ~privilege:Privilege.allow_all ~changes ()
+    Verifier.verify ~engine ~production:net ~policies ~privilege:Privilege.allow_all ~changes ()
   in
   checkb "accepted" true outcome.Verifier.accepted;
   checkb "shadow present" true (outcome.Verifier.shadow <> None)
@@ -199,7 +202,7 @@ let test_verifier_rejects_privilege_violation () =
   let changes =
     [ Change.v "r4" (Change.Set_ospf_cost { iface = "eth0"; cost = Some 20 }) ]
   in
-  let outcome = Verifier.verify ~production:net ~policies ~privilege ~changes () in
+  let outcome = Verifier.verify ~engine ~production:net ~policies ~privilege ~changes () in
   checkb "rejected" false outcome.Verifier.accepted;
   match outcome.Verifier.rejections with
   | [ Verifier.Privilege_violation { action = "ospf.cost"; _ } ] -> ()
@@ -219,7 +222,7 @@ let test_verifier_rejects_policy_violation () =
     ]
   in
   let outcome =
-    Verifier.verify ~production:net ~policies ~privilege:Privilege.allow_all ~changes ()
+    Verifier.verify ~engine ~production:net ~policies ~privilege:Privilege.allow_all ~changes ()
   in
   checkb "rejected" false outcome.Verifier.accepted;
   checkb "policy violation" true
@@ -237,7 +240,7 @@ let test_verifier_allows_preexisting_violation () =
     [ Change.v "r9" (Change.Set_interface_description { iface = "eth0"; description = Some "x" }) ]
   in
   let outcome =
-    Verifier.verify ~production:broken ~policies ~privilege:Privilege.allow_all ~changes ()
+    Verifier.verify ~engine ~production:broken ~policies ~privilege:Privilege.allow_all ~changes ()
   in
   checkb "accepted despite broken policies" true outcome.Verifier.accepted
 
@@ -256,7 +259,7 @@ let test_verifier_reports_fixed_policies () =
   in
   let changes = [ Change.v "r7" (Change.Set_ospf_area { iface = uplink; area = Some 0 }) ] in
   let outcome =
-    Verifier.verify ~production:broken ~policies ~privilege:Privilege.allow_all ~changes ()
+    Verifier.verify ~engine ~production:broken ~policies ~privilege:Privilege.allow_all ~changes ()
   in
   checkb "accepted" true outcome.Verifier.accepted;
   checkb "repairs counted" true (List.length outcome.Verifier.fixed_policies > 0)
@@ -265,7 +268,7 @@ let test_verifier_apply_error () =
   let net, policies = fixture () in
   let changes = [ Change.v "r4" (Change.Acl_remove { acl = "GHOST" }) ] in
   let outcome =
-    Verifier.verify ~production:net ~policies ~privilege:Privilege.allow_all ~changes ()
+    Verifier.verify ~engine ~production:net ~policies ~privilege:Privilege.allow_all ~changes ()
   in
   checkb "rejected" false outcome.Verifier.accepted;
   checkb "apply error" true
@@ -285,7 +288,7 @@ let test_scheduler_orders_safely () =
       Change.v "r5" (Change.Set_ospf_cost { iface = "eth0"; cost = Some 20 });
     ]
   in
-  match Scheduler.plan ~production:net ~policies ~changes () with
+  match Scheduler.plan ~engine ~production:net ~policies ~changes () with
   | Ok (plan, final) ->
       checkb "safe" true plan.Scheduler.safe;
       checki "two steps" 2 (List.length plan.Scheduler.steps);
@@ -308,7 +311,7 @@ let test_scheduler_defers_risky_change () =
       Change.v "r5" (Change.Set_ospf_cost { iface = "eth0"; cost = Some 15 });
     ]
   in
-  match Scheduler.plan ~production:net ~policies ~changes () with
+  match Scheduler.plan ~engine ~production:net ~policies ~changes () with
   | Ok (plan, _) ->
       checkb "not safe overall" false plan.Scheduler.safe;
       (* The safe change must be scheduled first. *)
@@ -325,7 +328,7 @@ let test_scheduler_defers_risky_change () =
 let test_scheduler_duplicate_changes () =
   let net, policies = fixture () in
   let c = Change.v "r5" (Change.Set_ospf_cost { iface = "eth0"; cost = Some 15 }) in
-  match Scheduler.plan ~production:net ~policies ~changes:[ c; c ] () with
+  match Scheduler.plan ~engine ~production:net ~policies ~changes:[ c; c ] () with
   | Ok (plan, final) ->
       checki "both occurrences scheduled" 2 (List.length plan.Scheduler.steps);
       (* Each step's checkpoint is the planned post-step network; the
@@ -340,7 +343,7 @@ let test_scheduler_duplicate_changes () =
 
 let test_scheduler_empty () =
   let net, policies = fixture () in
-  match Scheduler.plan ~production:net ~policies ~changes:[] () with
+  match Scheduler.plan ~engine ~production:net ~policies ~changes:[] () with
   | Ok (plan, final) ->
       checkb "safe" true plan.Scheduler.safe;
       checki "no steps" 0 (List.length plan.Scheduler.steps);
@@ -367,7 +370,7 @@ let test_enforcer_end_to_end_approval () =
   let session = Heimdall_twin.Twin.open_session ~privilege em in
   ignore (Heimdall_twin.Session.exec_many session issue.Heimdall_msp.Issue.fix_commands);
   let outcome =
-    Enforcer.process ~production:broken ~policies ~privilege ~session ()
+    Enforcer.process ~engine ~production:broken ~policies ~privilege ~session ()
   in
   checkb "approved" true outcome.Enforcer.approved;
   checkb "updated network" true (outcome.Enforcer.updated <> None);
@@ -396,7 +399,7 @@ let test_enforcer_rejects_malicious_session () =
          "connect r8";
          "configure access-list SRV_PROT 5 permit ip 10.1.10.0/24 10.3.10.0/24";
        ]);
-  let outcome = Enforcer.process ~production:net ~policies ~privilege ~session () in
+  let outcome = Enforcer.process ~engine ~production:net ~policies ~privilege ~session () in
   checkb "rejected" false outcome.Enforcer.approved;
   checkb "no production update" true (outcome.Enforcer.updated = None);
   checkb "rejection recorded in audit" true
@@ -413,7 +416,7 @@ let test_enforcer_lint_delta_in_audit () =
   ignore
     (Heimdall_twin.Session.exec_many session
        [ "connect r8"; "configure access-list SRV_PROT 30 deny ip 10.9.9.0/24 0.0.0.0/0" ]);
-  let outcome = Enforcer.process ~production:net ~policies ~privilege:Privilege.allow_all ~session () in
+  let outcome = Enforcer.process ~engine ~production:net ~policies ~privilege:Privilege.allow_all ~session () in
   (match outcome.Enforcer.lint_findings with
   | [ d ] ->
       checks "code" "ACL001" d.Heimdall_lint.Diagnostic.code;
@@ -432,7 +435,7 @@ let test_enforcer_clean_session_no_lint_delta () =
   let session = Heimdall_twin.Twin.open_session ~privilege:Privilege.allow_all em in
   ignore (Heimdall_twin.Session.exec_many session [ "connect r4"; "show vlan" ]);
   let outcome =
-    Enforcer.process ~production:net ~policies ~privilege:Privilege.allow_all ~session ()
+    Enforcer.process ~engine ~production:net ~policies ~privilege:Privilege.allow_all ~session ()
   in
   checki "no new findings" 0 (List.length outcome.Enforcer.lint_findings);
   checkb "no lint records" true
@@ -447,7 +450,7 @@ let test_enforcer_noop_session () =
   let session = Heimdall_twin.Twin.open_session ~privilege:Privilege.allow_all em in
   ignore (Heimdall_twin.Session.exec_many session [ "connect r4"; "show vlan" ]);
   let outcome =
-    Enforcer.process ~production:net ~policies ~privilege:Privilege.allow_all ~session ()
+    Enforcer.process ~engine ~production:net ~policies ~privilege:Privilege.allow_all ~session ()
   in
   checkb "approved" true outcome.Enforcer.approved;
   checkb "nothing to apply" true

@@ -7,6 +7,9 @@ open Heimdall_privilege
 open Heimdall_msp
 module Enterprise = Heimdall_scenarios.Enterprise
 
+(* The one verification context shared by this file's tests. *)
+let engine = Heimdall_verify.Engine.create ~domains:1 ()
+
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let ip = Ipv4.of_string
@@ -30,7 +33,7 @@ let open_emergency () =
   let net, policies = fixture () in
   ( net,
     policies,
-    Emergency.open_session ~reason:"core outage, twin unavailable" ~production:net
+    Emergency.open_session ~engine ~reason:"core outage, twin unavailable" ~production:net
       ~policies ~privilege:emergency_privilege () )
 
 let test_emergency_reads_production () =
@@ -78,7 +81,7 @@ let test_emergency_denies_out_of_spec () =
   (* Destructive commands are always refused, even under allow-all. *)
   let net, policies = fixture () in
   let s2 =
-    Emergency.open_session ~reason:"r" ~production:net ~policies
+    Emergency.open_session ~engine ~reason:"r" ~production:net ~policies
       ~privilege:Privilege.allow_all ()
   in
   ignore (Emergency.exec s2 "connect r4");
@@ -124,10 +127,10 @@ let test_emergency_fixes_real_issue () =
       ]
   in
   let s =
-    Emergency.open_session ~reason:"uplink down" ~production:broken ~policies ~privilege ()
+    Emergency.open_session ~engine ~reason:"uplink down" ~production:broken ~policies ~privilege ()
   in
   List.iter (fun cmd -> ignore (Emergency.exec s cmd)) issue.Issue.fix_commands;
-  checkb "resolved" true (not (Issue.symptom_present issue (Emergency.production s)))
+  checkb "resolved" true (not (Issue.symptom_present ~engine issue (Emergency.production s)))
 
 (* ---------------- Escalation ---------------- *)
 
@@ -327,7 +330,7 @@ let test_campaign_university () =
   let policies = Heimdall_scenarios.University.policies net in
   let issues = Heimdall_scenarios.University.issues net in
   let tallies =
-    Heimdall_scenarios.Campaign.run ~seed:9 ~tickets:6 ~malicious_pct:50 net policies issues
+    Heimdall_scenarios.Campaign.run ~engine ~seed:9 ~tickets:6 ~malicious_pct:50 net policies issues
   in
   let by m =
     List.find (fun (t : Heimdall_scenarios.Campaign.tally) -> t.model = m) tallies

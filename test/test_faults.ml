@@ -11,6 +11,9 @@ module Experiments = Heimdall_scenarios.Experiments
 module Chaos = Heimdall_scenarios.Chaos
 module Enterprise = Heimdall_scenarios.Enterprise
 
+(* The one verification context shared by this file's tests. *)
+let engine = Heimdall_verify.Engine.create ~domains:1 ()
+
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
@@ -173,7 +176,7 @@ let two_step_plan () =
       Change.v "r5" (Change.Set_ospf_cost { iface = "eth0"; cost = Some 20 });
     ]
   in
-  match Scheduler.plan ~production:net ~policies ~changes () with
+  match Scheduler.plan ~engine ~production:net ~policies ~changes () with
   | Ok (plan, final) -> (net, plan, final)
   | Error m -> Alcotest.fail m
 
@@ -260,7 +263,7 @@ let test_applier_rollback_restores_checkpoint () =
     (Applier.network_digest s.Applier.network);
   (* The rolled-back network's dataplane is the checkpoint's dataplane,
      byte for byte. *)
-  let dp_digest n = Digest.to_hex (Digest.string (Marshal.to_string (Dataplane.compute n) [])) in
+  let dp_digest n = Dataplane.digest (Dataplane.compute n) in
   checks "dataplane digest matches checkpoint"
     (dp_digest checkpoint1)
     (dp_digest s.Applier.network);
@@ -311,7 +314,7 @@ let audit_head (r : Chaos.result) =
 
 let test_chaos_run_recovers () =
   let sc = enterprise () in
-  let r = Chaos.run ~scenario:sc ~issue:(issue_named sc "isp") ~seed:42 () in
+  let r = Chaos.run ~engine ~scenario:sc ~issue:(issue_named sc "isp") ~seed:42 () in
   checkb "at least three fault kinds" true (List.length r.Chaos.kinds >= 3);
   checkb "passed" true (Chaos.passed r);
   checkb "resolved" true r.Chaos.resolved;
@@ -349,8 +352,8 @@ let test_chaos_deterministic_across_domains () =
 let test_chaos_seeds_differ () =
   let sc = enterprise () in
   let issue = issue_named sc "isp" in
-  let r1 = Chaos.run ~scenario:sc ~issue ~seed:1 () in
-  let r2 = Chaos.run ~scenario:sc ~issue ~seed:2 () in
+  let r1 = Chaos.run ~engine ~scenario:sc ~issue ~seed:1 () in
+  let r2 = Chaos.run ~engine ~scenario:sc ~issue ~seed:2 () in
   (* Both recover, but along different fault sequences. *)
   checkb "both pass" true (Chaos.passed r1 && Chaos.passed r2);
   checkb "different fault sequences" true

@@ -6,6 +6,9 @@
 open Heimdall_control
 open Heimdall_scenarios
 
+(* The one verification context shared by this file's tests. *)
+let engine = Heimdall_verify.Engine.create ~domains:1 ()
+
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
@@ -117,7 +120,7 @@ let test_pipeline_fat_tree () =
     List.filter
       (fun (d : Heimdall_lint.Diagnostic.t) ->
         d.severity = Heimdall_lint.Diagnostic.Error)
-      (Heimdall_lint.Lint.check_network net)
+      (Heimdall_lint.Lint.check_network ~engine net)
   in
   checkb "lint clean" true (errors = []);
   (* Verify: every policy holds, and the verdicts are identical whether
@@ -141,7 +144,7 @@ let test_pipeline_fat_tree () =
   List.iter
     (fun (issue : Heimdall_msp.Issue.t) ->
       let run =
-        Heimdall_msp.Workflow.run_heimdall ~production:net
+        Heimdall_msp.Workflow.run_heimdall ~engine ~production:net
           ~policies:fleet.Fleetgen.policies ~issue ()
       in
       checkb (issue.Heimdall_msp.Issue.name ^ " resolved") true

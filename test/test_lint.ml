@@ -11,6 +11,9 @@ open Heimdall_lint
 module Experiments = Heimdall_scenarios.Experiments
 module B = Heimdall_scenarios.Builder
 
+(* The one verification context shared by this file's tests. *)
+let engine = Heimdall_verify.Engine.create ~domains:1 ()
+
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
@@ -287,9 +290,9 @@ let test_sec001_twin_exposure () =
   let scrubbed = Network.with_config "r1" (Redact.scrub cfg) net in
   checki "scrubbed clean" 0 (List.length (Config_lint.twin_exposure scrubbed));
   (* check_network only runs SEC001 when asked. *)
-  checki "off by default" 0 (List.length (with_code "SEC001" (Lint.check_network net)));
+  checki "off by default" 0 (List.length (with_code "SEC001" (Lint.check_network ~engine net)));
   checki "on when twin_exposed" 1
-    (List.length (with_code "SEC001" (Lint.check_network ~twin_exposed:true net)))
+    (List.length (with_code "SEC001" (Lint.check_network ~engine ~twin_exposed:true net)))
 
 (* ---------------- privilege family ---------------- *)
 
@@ -352,7 +355,7 @@ let test_evaluation_networks_lint_clean () =
   List.iter
     (fun name ->
       let sc = Option.get (Experiments.scenario_of_name name) in
-      let ds = Lint.check_network sc.Experiments.net in
+      let ds = Lint.check_network ~engine sc.Experiments.net in
       checkb (name ^ " no errors") false (Lint.has_errors ds);
       (* Exactly the one deliberate default-permit warning each. *)
       checki (name ^ " acl003") 1 (List.length (with_code "ACL003" ds));
@@ -366,7 +369,7 @@ let test_engine_determinism () =
   let acl = Option.get (Ast.find_acl "SRV_PROT" cfg) in
   let acl = Acl.add_rule (Acl.rule ~seq:30 Acl.Deny (pfx "10.9.9.0/24") Prefix.any) acl in
   let net = Network.with_config "r8" (Ast.update_acl acl cfg) sc.Experiments.net in
-  let sequential = Lint.check_network net in
+  let sequential = Lint.check_network ~engine net in
   let engine = Heimdall_verify.Engine.create ~domains:3 () in
   let parallel = Lint.check_network ~engine net in
   checkb "findings identical" true (List.equal Diagnostic.equal sequential parallel);
@@ -380,7 +383,7 @@ let test_seeded_shadowed_rule_detected () =
   let acl = Option.get (Ast.find_acl "SRV_PROT" cfg) in
   let acl = Acl.add_rule (Acl.rule ~seq:30 Acl.Deny (pfx "10.9.9.0/24") Prefix.any) acl in
   let net = Network.with_config "r8" (Ast.update_acl acl cfg) sc.Experiments.net in
-  let ds = Lint.check_network net in
+  let ds = Lint.check_network ~engine net in
   checkb "error raised" true (Lint.has_errors ds);
   let d = one_diag "seeded" "ACL001" ds in
   checkb "device" true (d.device = Some "r8");

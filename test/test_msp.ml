@@ -7,6 +7,9 @@ open Heimdall_privilege
 open Heimdall_msp
 module Enterprise = Heimdall_scenarios.Enterprise
 
+(* The one verification context shared by this file's tests. *)
+let engine = Heimdall_verify.Engine.create ~domains:1 ()
+
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let ip = Ipv4.of_string
@@ -92,7 +95,7 @@ let test_issues_inject_and_probe () =
   List.iter
     (fun (issue : Issue.t) ->
       let broken = issue.inject net in
-      checkb (issue.name ^ " symptom") true (Issue.symptom_present issue broken);
+      checkb (issue.name ^ " symptom") true (Issue.symptom_present ~engine issue broken);
       checkb (issue.name ^ " root cause exists") true
         (Network.config issue.root_cause broken <> None))
     (Enterprise.issues net)
@@ -103,7 +106,7 @@ let test_workflow_current_resolves () =
   let net, _ = fixture () in
   List.iter
     (fun issue ->
-      let run = Workflow.run_current ~production:net ~issue in
+      let run = Workflow.run_current ~engine ~production:net ~issue in
       checkb (issue.Issue.name ^ " resolved") true run.Workflow.resolved;
       checki (issue.Issue.name ^ " steps") 3 (List.length run.Workflow.steps);
       checkb "has time" true (Workflow.total_s run > 0.0))
@@ -113,7 +116,7 @@ let test_workflow_heimdall_resolves () =
   let net, policies = fixture () in
   List.iter
     (fun issue ->
-      let run = Workflow.run_heimdall ~production:net ~policies ~issue () in
+      let run = Workflow.run_heimdall ~engine ~production:net ~policies ~issue () in
       checkb (issue.Issue.name ^ " resolved") true run.Workflow.resolved;
       checki (issue.Issue.name ^ " steps") 6 (List.length run.Workflow.steps);
       checkb "approved" true
@@ -126,8 +129,8 @@ let test_workflow_heimdall_resolves () =
 let test_workflow_heimdall_slower_but_bounded () =
   let net, policies = fixture () in
   let issue = List.hd (Enterprise.issues net) in
-  let current = Workflow.run_current ~production:net ~issue in
-  let heimdall = Workflow.run_heimdall ~production:net ~policies ~issue () in
+  let current = Workflow.run_current ~engine ~production:net ~issue in
+  let heimdall = Workflow.run_heimdall ~engine ~production:net ~policies ~issue () in
   let overhead = Workflow.total_s heimdall -. Workflow.total_s current in
   checkb "has overhead" true (overhead > 0.0);
   checkb "overhead sane (< 120s)" true (overhead < 120.0)
@@ -140,7 +143,7 @@ let test_workflow_neighbor_strategy_fails_when_root_cause_hidden () =
   let policies = Heimdall_scenarios.University.policies net in
   let ospf = List.nth (Heimdall_scenarios.University.issues net) 1 in
   let run =
-    Workflow.run_heimdall ~strategy:Heimdall_twin.Slicer.Neighbor ~production:net ~policies
+    Workflow.run_heimdall ~engine ~strategy:Heimdall_twin.Slicer.Neighbor ~production:net ~policies
       ~issue:ospf ()
   in
   checkb "not resolved under Neighbor" false run.Workflow.resolved;
@@ -172,7 +175,7 @@ let test_attack_exfiltration_twin_blocks () =
 
 let test_attack_policy_damage () =
   let net, policies = fixture () in
-  checki "no damage identical" 0 (Attacks.policy_damage ~policies ~before:net ~after:net);
+  checki "no damage identical" 0 (Attacks.policy_damage ~engine ~policies ~before:net ~after:net);
   let broken =
     Result.get_ok
       (Network.apply_changes
@@ -182,7 +185,7 @@ let test_attack_policy_damage () =
          ]
          net)
   in
-  checkb "damage measured" true (Attacks.policy_damage ~policies ~before:net ~after:broken > 0)
+  checkb "damage measured" true (Attacks.policy_damage ~engine ~policies ~before:net ~after:broken > 0)
 
 let test_attack_command_builders () =
   let cmds =

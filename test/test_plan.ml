@@ -11,6 +11,9 @@ open Heimdall_sem
 open Heimdall_lint
 module Experiments = Heimdall_scenarios.Experiments
 
+(* The one verification context shared by this file's tests. *)
+let engine = Heimdall_verify.Engine.create ~domains:1 ()
+
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
@@ -214,7 +217,7 @@ let test_check_plans_cross_domain_determinism () =
       let sc = scenario name in
       let tickets = scenario_tickets sc in
       let sequential =
-        Lint.check_plans ~network:sc.Experiments.net
+        Lint.check_plans ~engine ~network:sc.Experiments.net
           ~policies:sc.Experiments.policies tickets
       in
       let render ds = String.concat "\n" (List.map Diagnostic.to_string ds) in
@@ -355,7 +358,7 @@ let test_enforcer_holds_on_conflict () =
   checkb "session produced changes" true (session_changes <> []);
   (* An in-flight plan touching the very same slots forces a hold. *)
   let outcome =
-    Heimdall_enforcer.Enforcer.process
+    Heimdall_enforcer.Enforcer.process ~engine
       ~in_flight:[ ("earlier", session_changes) ]
       ~production:broken ~policies:sc.Experiments.policies ~privilege ~session ()
   in
@@ -385,7 +388,7 @@ let test_enforcer_admits_disjoint_in_flight () =
                        { iface = "eth0"; description = Some "maintenance" }) ]
   in
   let outcome =
-    Heimdall_enforcer.Enforcer.process ~in_flight:[ ("earlier", disjoint) ]
+    Heimdall_enforcer.Enforcer.process ~engine ~in_flight:[ ("earlier", disjoint) ]
       ~production:broken ~policies:sc.Experiments.policies ~privilege ~session ()
   in
   checkb "no conflicts" true (outcome.Heimdall_enforcer.Enforcer.conflicts = []);
@@ -399,7 +402,7 @@ let test_scheduler_plan_footprint () =
     [ Change.v "r4" (Change.Set_ospf_cost { iface = "eth0"; cost = Some 20 }) ]
   in
   match
-    Heimdall_enforcer.Scheduler.plan ~production:sc.Experiments.net
+    Heimdall_enforcer.Scheduler.plan ~engine ~production:sc.Experiments.net
       ~policies:sc.Experiments.policies ~changes ()
   with
   | Error e -> Alcotest.fail e
@@ -498,7 +501,7 @@ let test_fleet_plan_pipeline () =
   let tickets = scenario_tickets sc in
   checkb "fleet has tickets" true (tickets <> []);
   let ds =
-    Lint.check_plans ~network:sc.Experiments.net ~policies:sc.Experiments.policies
+    Lint.check_plans ~engine ~network:sc.Experiments.net ~policies:sc.Experiments.policies
       tickets
   in
   let errors =

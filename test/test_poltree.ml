@@ -5,11 +5,13 @@
    and the documented witness order of Packet_set.sample. *)
 
 open Heimdall_net
-open Heimdall_control
 open Heimdall_lint
 open Heimdall_poltree
 module Experiments = Heimdall_scenarios.Experiments
 module Fleetgen = Heimdall_scenarios.Fleetgen
+
+(* The one verification context shared by this file's tests. *)
+let engine = Heimdall_verify.Engine.create ~domains:1 ()
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -163,13 +165,13 @@ allow icmp from any to 10.4.0.0/16;
 
 let test_pol001 () =
   let clean = compile_str campus_src in
-  checki "clean: no POL001" 0 (List.length (with_code "POL001" (Analysis.check clean)));
+  checki "clean: no POL001" 0 (List.length (with_code "POL001" (Analysis.check ~engine clean)));
   let seeded =
     match Analysis.seed_pol001 (Parser.parse campus_src) with
     | Ok t -> Compile.compile_exn t
     | Error e -> Alcotest.fail e
   in
-  let findings = with_code "POL001" (Analysis.check seeded) in
+  let findings = with_code "POL001" (Analysis.check ~engine seeded) in
   checkb "seeded POL001 fires" true (findings <> []);
   let d = List.hd findings in
   checkb "error severity" true (d.Diagnostic.severity = Diagnostic.Error);
@@ -190,7 +192,7 @@ node x {
 }
 |}
   in
-  let findings = with_code "POL002" (Analysis.check c) in
+  let findings = with_code "POL002" (Analysis.check ~engine c) in
   checki "second rule shadowed" 1 (List.length findings);
   checks "on rule 2" "rule 2"
     (match (List.hd findings).Diagnostic.obj with Some o -> o | None -> "")
@@ -208,7 +210,7 @@ node x {
 }
 |}
   in
-  let findings = with_code "POL003" (Analysis.check c) in
+  let findings = with_code "POL003" (Analysis.check ~engine c) in
   checki "disjoint child scope flagged" 1 (List.length findings);
   checks "path names the stray node" "root/x/stray"
     (match (List.hd findings).Diagnostic.device with Some d -> d | None -> "")
@@ -227,7 +229,7 @@ node campus {
 }
 |}
   in
-  let findings = with_code "POL006" (Analysis.check c) in
+  let findings = with_code "POL006" (Analysis.check ~engine c) in
   checki "duplicate subtree flagged" 1 (List.length findings);
   checks "names the dup node" "root/campus/dup"
     (match (List.hd findings).Diagnostic.device with Some d -> d | None -> "");
@@ -246,7 +248,7 @@ node campus {
 |}
   in
   checki "distinct subtree not flagged" 0
-    (List.length (with_code "POL006" (Analysis.check clean)))
+    (List.length (with_code "POL006" (Analysis.check ~engine clean)))
 
 (* ---------------- POL004: refinement vs flat specs ---------------- *)
 
@@ -255,7 +257,7 @@ let tree_of_scenario (sc : Experiments.scenario) =
 
 let pol004_errors sc =
   let c = Compile.compile_exn (tree_of_scenario sc) in
-  Analysis.check ~policies:sc.Experiments.policies c
+  Analysis.check ~engine ~policies:sc.Experiments.policies c
   |> with_code "POL004"
   |> List.filter (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error)
 
@@ -274,7 +276,7 @@ let test_pol004_fleet () =
   checki "37-device fleet" 37 (Fleetgen.device_count fleet);
   let c = Compile.compile_exn fleet.Fleetgen.poltree in
   let errors =
-    Analysis.check ~policies:fleet.Fleetgen.policies c
+    Analysis.check ~engine ~policies:fleet.Fleetgen.policies c
     |> with_code "POL004"
     |> List.filter (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error)
   in
@@ -289,7 +291,7 @@ let test_pol004_seeded () =
     | Error e -> Alcotest.fail e
   in
   let errors =
-    Analysis.check ~policies:sc.Experiments.policies seeded
+    Analysis.check ~engine ~policies:sc.Experiments.policies seeded
     |> with_code "POL004"
     |> List.filter (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error)
   in
@@ -325,7 +327,7 @@ node lab {
       [ Heimdall_privilege.Privilege.allow ~actions:[ "interface.*" ] ~nodes:[ "agg-1" ] () ]
   in
   let findings spec =
-    with_code "POL005" (Analysis.check ~tickets:[ pol005_ticket spec ] c)
+    with_code "POL005" (Analysis.check ~engine ~tickets:[ pol005_ticket spec ] c)
   in
   checkb "uncovered owner flagged" true (findings uncovered <> []);
   checki "covered owner clean" 0 (List.length (findings covered))
@@ -343,21 +345,6 @@ let test_cross_domain_determinism () =
   checki "same count" (List.length a) (List.length b);
   checkb "byte-identical reports at 1 vs 3 domains" true
     (List.for_all2 (fun x y -> Diagnostic.compare x y = 0 && x = y) a b)
-
-(* ---------------- tree as spec source ---------------- *)
-
-let test_tree_verify_spec_source () =
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
-  let c = Compile.compile_exn (tree_of_scenario sc) in
-  let dp = Dataplane.compute sc.Experiments.net in
-  let report = Tree_verify.check_all dp c in
-  checkb "probes exist" true (report.Heimdall_verify.Policy.total > 0);
-  List.iter
-    (fun ((p : Heimdall_verify.Policy.t), why) ->
-      Printf.eprintf "tree-verify violation: %s — %s\n" p.id why)
-    report.Heimdall_verify.Policy.violations;
-  checki "healthy dataplane satisfies the tree spec" 0
-    (List.length report.Heimdall_verify.Policy.violations)
 
 (* ---------------- diff ---------------- *)
 
@@ -422,7 +409,6 @@ let suite =
     Alcotest.test_case "POL004 seeded defect" `Quick test_pol004_seeded;
     Alcotest.test_case "POL005 scope ownership" `Quick test_pol005;
     Alcotest.test_case "cross-domain determinism" `Quick test_cross_domain_determinism;
-    Alcotest.test_case "tree as spec source" `Quick test_tree_verify_spec_source;
     Alcotest.test_case "diff with witnesses" `Quick test_diff_witnesses;
     Alcotest.test_case "sample witness order" `Quick test_sample_witness_order;
   ]

@@ -9,6 +9,9 @@ open Heimdall_verify
 open Heimdall_privilege
 module Enterprise = Heimdall_scenarios.Enterprise
 
+(* The one verification context shared by this file's tests. *)
+let engine = Heimdall_verify.Engine.create ~domains:1 ()
+
 let checkb = Alcotest.check Alcotest.bool
 
 let net_and_policies = lazy (Heimdall_scenarios.Experiments.enterprise ())
@@ -79,7 +82,7 @@ let prop_failure_totality =
       with
       | Error _ -> false
       | Ok broken ->
-          let report = Policy.check_all (Dataplane.compute broken) policies in
+          let report = Policy.check_all ~engine (Dataplane.compute broken) policies in
           List.for_all (fun (_, reason) -> String.length reason > 0) report.violations)
 
 (* Longest-prefix-match lookup agrees with a naive scan over the trie's
@@ -141,7 +144,7 @@ let prop_scheduler_equiv_batch =
       let changes =
         List.sort_uniq compare picks |> List.map (List.nth benign_changes)
       in
-      match Heimdall_enforcer.Scheduler.plan ~production:net ~policies ~changes () with
+      match Heimdall_enforcer.Scheduler.plan ~engine ~production:net ~policies ~changes () with
       | Error _ -> false
       | Ok (plan, final) ->
           let batch = Result.get_ok (Network.apply_changes changes net) in
@@ -210,7 +213,7 @@ let prop_enforcer_preserves_held_policies =
       let issue = List.nth (Enterprise.issues net) issue_idx in
       let broken = issue.Heimdall_msp.Issue.inject net in
       let run =
-        Heimdall_msp.Workflow.run_heimdall ~production:net ~policies ~issue ()
+        Heimdall_msp.Workflow.run_heimdall ~engine ~production:net ~policies ~issue ()
       in
       match run.Heimdall_msp.Workflow.outcome with
       | Some outcome when outcome.Heimdall_enforcer.Enforcer.approved -> (
@@ -218,7 +221,7 @@ let prop_enforcer_preserves_held_policies =
           | None -> false
           | Some updated ->
               let held_before =
-                let report = Policy.check_all (Dataplane.compute broken) policies in
+                let report = Policy.check_all ~engine (Dataplane.compute broken) policies in
                 List.filter
                   (fun p ->
                     not
@@ -226,7 +229,7 @@ let prop_enforcer_preserves_held_policies =
                          report.Policy.violations))
                   policies
               in
-              let after = Policy.check_all (Dataplane.compute updated) policies in
+              let after = Policy.check_all ~engine (Dataplane.compute updated) policies in
               List.for_all
                 (fun p ->
                   not

@@ -6,6 +6,9 @@ open Heimdall_net
 open Heimdall_control
 open Heimdall_scenarios
 
+(* The one verification context shared by this file's tests. *)
+let engine = Heimdall_verify.Engine.create ~domains:1 ()
+
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
@@ -39,7 +42,7 @@ let test_networks_healthy () =
   List.iter
     (fun (net, policies) ->
       let dp = Dataplane.compute net in
-      let report = Heimdall_verify.Policy.check_all dp policies in
+      let report = Heimdall_verify.Policy.check_all ~engine dp policies in
       checki "no violations when healthy" 0 (List.length report.violations))
     [ Experiments.enterprise (); Experiments.university () ]
 
@@ -86,8 +89,8 @@ let test_university_issues () =
   List.iter
     (fun (issue : Heimdall_msp.Issue.t) ->
       let broken = issue.inject net in
-      checkb (issue.name ^ " symptom") true (Heimdall_msp.Issue.symptom_present issue broken);
-      let run = Heimdall_msp.Workflow.run_heimdall ~production:net ~policies ~issue () in
+      checkb (issue.name ^ " symptom") true (Heimdall_msp.Issue.symptom_present ~engine issue broken);
+      let run = Heimdall_msp.Workflow.run_heimdall ~engine ~production:net ~policies ~issue () in
       checkb (issue.name ^ " resolved") true run.Heimdall_msp.Workflow.resolved)
     (University.issues net)
 
@@ -101,7 +104,7 @@ let test_vlan_issue_root_cause_is_switch () =
 
 let test_metrics_shapes () =
   let net, policies = Experiments.enterprise () in
-  let summaries = Metrics.sweep_all ~production:net ~policies () in
+  let summaries = Metrics.sweep_all ~engine ~production:net ~policies () in
   checki "three techniques" 3 (List.length summaries);
   let by t =
     List.find (fun (s : Metrics.summary) -> s.technique = t) summaries
@@ -124,12 +127,12 @@ let test_metrics_point_counts () =
   let net, policies = Experiments.enterprise () in
   let candidates = Metrics.failure_candidates net in
   checkb "many candidates" true (List.length candidates > 20);
-  let s = Metrics.sweep ~production:net ~policies Metrics.Heimdall_twin in
+  let s = Metrics.sweep ~engine ~production:net ~policies Metrics.Heimdall_twin in
   checki "one point per candidate" (List.length candidates) (List.length s.points)
 
 let test_metrics_surface_bounds () =
   let net, policies = Experiments.enterprise () in
-  let summaries = Metrics.sweep_all ~production:net ~policies () in
+  let summaries = Metrics.sweep_all ~engine ~production:net ~policies () in
   List.iter
     (fun (s : Metrics.summary) ->
       List.iter
@@ -153,7 +156,7 @@ let test_experiments_table1 () =
   checkb "mentions University" true (contains rendered "University")
 
 let test_experiments_fig7 () =
-  let cells = Experiments.fig7 () in
+  let cells = Experiments.fig7 ~engine () in
   checki "3 issues x 2 workflows" 6 (List.length cells);
   checkb "all resolved" true (List.for_all (fun c -> c.Experiments.resolved) cells);
   let overheads = Experiments.fig7_overhead cells in
@@ -178,7 +181,7 @@ let test_experiments_ablations () =
   checkb "appends fast" true (audit.Experiments.append_per_s > 100.0)
 
 let test_experiments_containment () =
-  let rows = Experiments.attack_containment () in
+  let rows = Experiments.attack_containment ~engine () in
   checki "three scenarios" 3 (List.length rows);
   List.iter
     (fun (c : Experiments.containment) ->
@@ -190,7 +193,7 @@ let test_experiments_containment () =
     rows
 
 let test_campaign () =
-  let tallies = Experiments.campaign ~tickets:15 ~malicious_pct:30 () in
+  let tallies = Experiments.campaign ~engine ~tickets:15 ~malicious_pct:30 () in
   checki "two models" 2 (List.length tallies);
   let by m = List.find (fun (t : Campaign.tally) -> t.model = m) tallies in
   let rmm = by Campaign.Rmm_model and heimdall = by Campaign.Heimdall_model in
@@ -202,14 +205,14 @@ let test_campaign () =
   checkb "attacks blocked" true (heimdall.attacks_blocked > 0);
   (* Determinism: same seed, same outcome. *)
   checkb "reproducible" true
-    (Experiments.campaign ~tickets:15 ~malicious_pct:30 ()
-    = Experiments.campaign ~tickets:15 ~malicious_pct:30 ())
+    (Experiments.campaign ~engine ~tickets:15 ~malicious_pct:30 ()
+    = Experiments.campaign ~engine ~tickets:15 ~malicious_pct:30 ())
 
 let test_campaign_no_issues () =
   let net, policies = Experiments.enterprise () in
   (* An honest repair with no issues to draw from must raise a clear
      [Invalid_argument], not [Division_by_zero]. *)
-  (match Campaign.run ~tickets:5 ~malicious_pct:0 net policies [] with
+  (match Campaign.run ~engine ~tickets:5 ~malicious_pct:0 net policies [] with
   | exception Invalid_argument m ->
       checkb "clear message" true
         (String.length m > 0 && String.sub m 0 8 = "Campaign")
@@ -217,12 +220,12 @@ let test_campaign_no_issues () =
   | _ -> Alcotest.fail "expected Invalid_argument");
   (* An all-malicious campaign never draws an issue, so an empty issue
      list is legitimate there. *)
-  let tallies = Campaign.run ~tickets:5 ~malicious_pct:100 net policies [] in
+  let tallies = Campaign.run ~engine ~tickets:5 ~malicious_pct:100 net policies [] in
   checki "both models ran" 2 (List.length tallies)
 
 let test_sweep_engine_deterministic () =
   let net, policies = Experiments.enterprise () in
-  let seq = Metrics.sweep ~production:net ~policies Metrics.Heimdall_twin in
+  let seq = Metrics.sweep ~engine ~production:net ~policies Metrics.Heimdall_twin in
   let engine = Heimdall_verify.Engine.create ~domains:4 () in
   let par = Metrics.sweep ~engine ~production:net ~policies Metrics.Heimdall_twin in
   checkb "summaries byte-identical" true (seq = par);

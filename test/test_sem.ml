@@ -14,6 +14,9 @@ open Heimdall_sem
 module Experiments = Heimdall_scenarios.Experiments
 module B = Heimdall_scenarios.Builder
 
+(* The one verification context shared by this file's tests. *)
+let engine = Heimdall_verify.Engine.create ~domains:1 ()
+
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
@@ -283,22 +286,22 @@ let test_net001_one_sided_ospf () =
   (* OSPF announced on r1's end only. *)
   let b, subnet = two_routers () in
   B.ospf_network b "r1" subnet 0;
-  let ds = Lint.check_network (B.build b) in
+  let ds = Lint.check_network ~engine (B.build b) in
   let d = one_diag "one-sided" "NET001" ds in
   checkb "error" true (d.severity = Diagnostic.Error);
   checkb "silent end flagged" true (d.device = Some "r2");
   (* Both ends: clean.  Neither end: deliberately non-IGP, also clean. *)
   let both, _ = two_routers ~area:0 () in
-  checki "both ends clean" 0 (List.length (with_code "NET001" (Lint.check_network (B.build both))));
+  checki "both ends clean" 0 (List.length (with_code "NET001" (Lint.check_network ~engine (B.build both))));
   let neither, _ = two_routers () in
-  checki "non-igp clean" 0 (List.length (with_code "NET001" (Lint.check_network (B.build neither))))
+  checki "non-igp clean" 0 (List.length (with_code "NET001" (Lint.check_network ~engine (B.build neither))))
 
 let test_net002_asymmetric_cost () =
   let b, _ = two_routers ~area:0 () in
   let net = B.build b in
-  checki "symmetric clean" 0 (List.length (with_code "NET002" (Lint.check_network net)));
+  checki "symmetric clean" 0 (List.length (with_code "NET002" (Lint.check_network ~engine net)));
   let skewed = rewire_iface net "r2" (fun i -> { i with Ast.ospf_cost = Some 55 }) in
-  let d = one_diag "asymmetric" "NET002" (Lint.check_network skewed) in
+  let d = one_diag "asymmetric" "NET002" (Lint.check_network ~engine skewed) in
   checkb "warning" true (d.severity = Diagnostic.Warning)
 
 let test_net003_overlapping_subnets () =
@@ -311,13 +314,13 @@ let test_net003_overlapping_subnets () =
   in
   let r1 = Ast.make ~interfaces:[ Ast.interface ~addr:(ia "10.0.0.1/16") "eth0" ] "r1" in
   let r2 = Ast.make ~interfaces:[ Ast.interface ~addr:(ia "10.0.1.1/24") "eth0" ] "r2" in
-  let d = one_diag "overlap" "NET003" (Lint.check_network (solo2 r1 r2)) in
+  let d = one_diag "overlap" "NET003" (Lint.check_network ~engine (solo2 r1 r2)) in
   checkb "warning" true (d.severity = Diagnostic.Warning);
   (* Equal subnets (one shared segment) and disjoint subnets are clean. *)
   let r2_eq = Ast.make ~interfaces:[ Ast.interface ~addr:(ia "10.0.1.1/16") "eth0" ] "r2" in
-  checki "equal clean" 0 (List.length (with_code "NET003" (Lint.check_network (solo2 r1 r2_eq))));
+  checki "equal clean" 0 (List.length (with_code "NET003" (Lint.check_network ~engine (solo2 r1 r2_eq))));
   let r2_far = Ast.make ~interfaces:[ Ast.interface ~addr:(ia "172.16.0.1/24") "eth0" ] "r2" in
-  checki "disjoint clean" 0 (List.length (with_code "NET003" (Lint.check_network (solo2 r1 r2_far))))
+  checki "disjoint clean" 0 (List.length (with_code "NET003" (Lint.check_network ~engine (solo2 r1 r2_far))))
 
 let add_route net node prefix nh =
   let cfg = Network.config_exn node net in
@@ -330,10 +333,10 @@ let test_net004_unowned_next_hop () =
   let r2_addr = Ifaddr.address (Option.get (Ast.interface_addr (Network.config_exn "r2" net) "eth0")) in
   (* .2 is r2: resolvable, clean — CFG006 quiet too (on-subnet). *)
   let good = add_route net "r1" (pfx "10.9.0.0/16") r2_addr in
-  checki "owned clean" 0 (List.length (with_code "NET004" (Lint.check_network good)));
+  checki "owned clean" 0 (List.length (with_code "NET004" (Lint.check_network ~engine good)));
   (* .3 is on the /30 transit but nobody's: a blackhole CFG006 misses. *)
   let bad = add_route net "r1" (pfx "10.9.0.0/16") (Ipv4.succ r2_addr) in
-  let ds = Lint.check_network bad in
+  let ds = Lint.check_network ~engine bad in
   let d = one_diag "unowned" "NET004" ds in
   checkb "error" true (d.severity = Diagnostic.Error);
   checkb "device" true (d.device = Some "r1");
@@ -346,14 +349,14 @@ let test_net005_two_device_loop () =
   let looped =
     add_route (add_route net "r1" (pfx "10.9.0.0/16") (addr "r2")) "r2" (pfx "10.9.0.0/16") (addr "r1")
   in
-  let ds = with_code "NET005" (Lint.check_network looped) in
+  let ds = with_code "NET005" (Lint.check_network ~engine looped) in
   checki "both directions flagged" 2 (List.length ds);
   List.iter (fun (d : Diagnostic.t) -> checkb "error" true (d.severity = Diagnostic.Error)) ds;
   (* r2 forwarding a different prefix is not a loop. *)
   let chained =
     add_route (add_route net "r1" (pfx "10.9.0.0/16") (addr "r2")) "r2" (pfx "10.77.0.0/16") (addr "r1")
   in
-  checki "disjoint prefixes clean" 0 (List.length (with_code "NET005" (Lint.check_network chained)))
+  checki "disjoint prefixes clean" 0 (List.length (with_code "NET005" (Lint.check_network ~engine chained)))
 
 let test_net006_switchport_mismatch () =
   let sw name vlans =
@@ -372,10 +375,10 @@ let test_net006_switchport_mismatch () =
            { Topology.node = c2.Ast.hostname; iface = "eth0" })
       [ (c1.Ast.hostname, c1); (c2.Ast.hostname, c2) ]
   in
-  let d = one_diag "mismatch" "NET006" (Lint.check_network (wire (sw "sw1" [ 10; 20 ]) (sw "sw2" [ 10; 30 ]))) in
+  let d = one_diag "mismatch" "NET006" (Lint.check_network ~engine (wire (sw "sw1" [ 10; 20 ]) (sw "sw2" [ 10; 30 ]))) in
   checkb "error" true (d.severity = Diagnostic.Error);
   checki "agreeing trunks clean" 0
-    (List.length (with_code "NET006" (Lint.check_network (wire (sw "sw1" [ 10; 20 ]) (sw "sw2" [ 20; 10 ])))))
+    (List.length (with_code "NET006" (Lint.check_network ~engine (wire (sw "sw1" [ 10; 20 ]) (sw "sw2" [ 20; 10 ])))))
 
 (* ---------------- PRV004: over-grant ---------------- *)
 
@@ -434,7 +437,7 @@ let seeded_enterprise () =
 
 let test_semantic_report_deterministic () =
   let net = seeded_enterprise () in
-  let sequential = Lint.check_network net in
+  let sequential = Lint.check_network ~engine net in
   checki "seeded acl004 present" 1 (List.length (with_code "ACL004" sequential));
   let engine = Heimdall_verify.Engine.create ~domains:3 () in
   let parallel = Lint.check_network ~engine net in
@@ -464,7 +467,7 @@ let test_enforcer_sem_records () =
     (Heimdall_twin.Session.exec_many session
        [ "connect r8"; "configure access-list SRV_PROT 5 permit ip 10.1.10.0/24 10.3.10.0/24" ]);
   let outcome =
-    Heimdall_enforcer.Enforcer.process ~production:net ~policies
+    Heimdall_enforcer.Enforcer.process ~engine ~production:net ~policies
       ~privilege:Privilege.allow_all ~session ()
   in
   (* The edit opened traffic: exactly one ACL diff, nothing newly denied. *)
@@ -497,7 +500,7 @@ let test_enforcer_clean_session_no_sem_records () =
   in
   ignore (Heimdall_twin.Session.exec_many session [ "connect r8"; "show interfaces" ]);
   let outcome =
-    Heimdall_enforcer.Enforcer.process ~production:net ~policies
+    Heimdall_enforcer.Enforcer.process ~engine ~production:net ~policies
       ~privilege:(Heimdall_privilege.Dsl.parse "allow show.* on *;\n") ~session ()
   in
   checkb "no acl diffs" true (outcome.Heimdall_enforcer.Enforcer.acl_diffs = []);

@@ -7,6 +7,9 @@ open Heimdall_config
 open Heimdall_control
 open Heimdall_verify
 
+(* The one verification context shared by this file's tests. *)
+let engine = Heimdall_verify.Engine.create ~domains:1 ()
+
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let ip = Ipv4.of_string
@@ -86,7 +89,7 @@ let test_survives_single_uplink_failure () =
          ]
          net)
   in
-  let report = Policy.check_all (Dataplane.compute broken) policies in
+  let report = Policy.check_all ~engine (Dataplane.compute broken) policies in
   checki "no policy broken" 0 (List.length report.violations)
 
 let test_survives_core_failure () =
@@ -99,7 +102,7 @@ let test_survives_core_failure () =
              (Change.Set_interface_enabled { iface = i.if_name; enabled = false }))
   in
   let broken = Result.get_ok (Network.apply_changes core1_ifaces net) in
-  let report = Policy.check_all (Dataplane.compute broken) policies in
+  let report = Policy.check_all ~engine (Dataplane.compute broken) policies in
   checki "no policy broken" 0 (List.length report.violations)
 
 let test_dist_failure_partitions_area () =
@@ -113,7 +116,7 @@ let test_dist_failure_partitions_area () =
              (Change.Set_interface_enabled { iface = i.if_name; enabled = false }))
   in
   let broken = Result.get_ok (Network.apply_changes dist1_ifaces net) in
-  let report = Policy.check_all (Dataplane.compute broken) policies in
+  let report = Policy.check_all ~engine (Dataplane.compute broken) policies in
   checkb "many policies broken" true (List.length report.violations > 20)
 
 (* ---------------- The datacentre firewall ---------------- *)

@@ -11,6 +11,9 @@ module Experiments = Heimdall_scenarios.Experiments
 module Network = Heimdall_control.Network
 module Monitor = Heimdall_msp.Monitor
 
+(* The one verification context shared by this file's tests. *)
+let engine = Heimdall_verify.Engine.create ~domains:1 ()
+
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
@@ -214,6 +217,51 @@ let test_exporter_malformed () =
       checkb "post -> 405" true
         (contains (raw_request port "POST /metrics HTTP/1.1\r\n\r\n") "405"))
 
+(* Regression: a client that connects and sends nothing must not wedge
+   the one-at-a-time accept loop.  The read deadline drops it, so
+   /healthz still answers and [stop] returns instead of hanging in the
+   join.  Every wait here is bounded, so a regression fails rather than
+   hangs. *)
+let test_exporter_silent_client () =
+  let obs = Obs.create () in
+  match Exporter.create ~port:0 obs with
+  | Error m -> Alcotest.fail m
+  | Ok ex ->
+      Exporter.start ex;
+      let port = Exporter.port ex in
+      let connect ?timeout () =
+        let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Option.iter (Unix.setsockopt_float sock Unix.SO_RCVTIMEO) timeout;
+        Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        sock
+      in
+      let close sock = try Unix.close sock with Unix.Unix_error _ -> () in
+      let silent = connect () in
+      let probe = connect ~timeout:5.0 () in
+      let request = "GET /healthz HTTP/1.1\r\n\r\n" in
+      ignore (Unix.write_substring probe request 0 (String.length request));
+      let reply = Bytes.create 1024 in
+      let n =
+        try Unix.read probe reply 0 (Bytes.length reply) with Unix.Unix_error _ -> 0
+      in
+      close probe;
+      checkb "/healthz answers behind a silent client" true
+        (contains (Bytes.sub_string reply 0 n) "200");
+      (* A second silent client is being read when stop is called. *)
+      let silent' = connect () in
+      Thread.delay 0.05;
+      let stopped = Atomic.make false in
+      let stopper = Thread.create (fun () -> Exporter.stop ex; Atomic.set stopped true) () in
+      let rec wait i =
+        if Atomic.get stopped || i = 0 then Atomic.get stopped
+        else (Thread.delay 0.05; wait (i - 1))
+      in
+      let returned = wait 100 in
+      checkb "stop returns" true returned;
+      if returned then Thread.join stopper;
+      close silent;
+      close silent'
+
 let test_exporter_port_in_use () =
   let obs = Obs.create () in
   match Exporter.create ~port:0 obs with
@@ -368,7 +416,7 @@ let test_monitor_with_injector () =
       ]
   in
   let monitor =
-    Monitor.create ~injector:inj ~expected:sc.Experiments.net
+    Monitor.create ~engine ~injector:inj ~expected:sc.Experiments.net
       ~observe:(fun () -> sc.Experiments.net)
       []
   in
@@ -383,7 +431,7 @@ let test_monitor_accept () =
   let issue = List.hd sc.Experiments.issues in
   let drifted = issue.Heimdall_msp.Issue.inject sc.Experiments.net in
   let monitor =
-    Monitor.create ~expected:sc.Experiments.net ~observe:(fun () -> drifted) []
+    Monitor.create ~engine ~expected:sc.Experiments.net ~observe:(fun () -> drifted) []
   in
   checks "drift" "detected" (Monitor.check monitor);
   Monitor.accept monitor;
@@ -438,6 +486,7 @@ let suite =
     ("exporter endpoints", `Quick, test_exporter_endpoints);
     ("exporter unhealthy 503", `Quick, test_exporter_unhealthy);
     ("exporter malformed requests", `Quick, test_exporter_malformed);
+    ("exporter silent client", `Quick, test_exporter_silent_client);
     ("exporter port in use", `Quick, test_exporter_port_in_use);
     ("exporter concurrent scrapes", `Quick, test_exporter_concurrent_scrapes);
     ("runtime sampler", `Quick, test_runtime_sampler);
