@@ -1,7 +1,7 @@
 # CI entry points.  `make check` is what the pipeline runs on every
 # change: a full build plus the tier-1 test suite.
 
-.PHONY: check build test test-hashseed lint analyze-smoke plan-smoke policy-smoke bench bench-smoke chaos-smoke scale-smoke serve-smoke clean
+.PHONY: check build test test-hashseed lint analyze-smoke plan-smoke policy-smoke bench bench-smoke chaos-smoke scale-smoke serve-smoke examples-smoke clean
 
 check: build test
 
@@ -88,7 +88,7 @@ chaos-smoke: build
 # `bench scale` section then persists walls, peak RSS and cache stats
 # at three sizes (largest 500+ devices) into bench/report.json.
 scale-smoke: build
-	dune exec bin/heimdall_cli.exe -- scale --shape fat-tree -k 4 --seed 42
+	dune exec bin/heimdall_cli.exe -- scale --spec fat-tree:k=4:seed=42
 	dune exec bin/heimdall_cli.exe -- scale --spec leaf-spine:spines=4:leaves=8:seed=7 --no-issues
 	dune exec bench/main.exe -- scale
 
@@ -101,6 +101,13 @@ scale-smoke: build
 serve-smoke: build
 	dune exec bin/heimdall_cli.exe -- serve enterprise --once --port 0
 	dune exec bench/main.exe -- obs
+
+# Examples smoke: the examples are the library facade's only callers, so
+# each must build and exit 0.
+EXAMPLES = quickstart troubleshoot_ospf attack_containment custom_network emergency_mode
+
+examples-smoke: build
+	for e in $(EXAMPLES); do dune exec examples/$$e.exe > /dev/null || exit 1; done
 
 clean:
 	dune clean

@@ -102,11 +102,24 @@ let report_fig9 () =
    turns it into a non-zero exit so `make bench-smoke` (and CI) fail. *)
 let gate_failed = ref false
 
+(* Run [f dir] in a fresh temporary directory, removed with its contents
+   afterwards, also when [f] raises. *)
+let with_temp_dir prefix f =
+  let dir = Filename.temp_dir prefix "" in
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> remove (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> remove dir) (fun () -> f dir)
+
 let report_engine () =
   let open Heimdall_verify in
   print_string "== Verify engine: 1-domain vs N-domain university sweep ==\n";
   let net, policies = Experiments.university () in
-  let cache_dir = Filename.temp_dir "heimdall-dpcache" "" in
+  with_temp_dir "heimdall-dpcache" @@ fun cache_dir ->
   (* Each run is one engine doing the sweep twice: the cold pass builds
      and caches, the warm pass must be answered from the caches.  The
      engine is shut down so its helper domains don't linger. *)

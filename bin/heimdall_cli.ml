@@ -66,6 +66,16 @@ let find_issue (sc : Experiments.scenario) name =
   | Some i -> Ok i
   | None -> Error (Printf.sprintf "unknown issue %S (try vlan, ospf or isp)" name)
 
+(* The grant Heimdall issues for a ticket: inject the issue, slice the
+   twin around the ticket's endpoints and generate the privilege spec
+   over the slice.  Returns the broken network, the slice and the spec. *)
+let ticket_grant net (issue : Heimdall_msp.Issue.t) =
+  let broken = issue.inject net in
+  let slice =
+    Heimdall_twin.Twin.slice_nodes ~production:broken ~endpoints:issue.ticket.endpoints ()
+  in
+  (broken, slice, Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice issue.ticket)
+
 (* ---------------- network ---------------- *)
 
 let network_cmd =
@@ -509,15 +519,7 @@ let privilege_cmd =
         prerr_endline m;
         exit 1
     | Ok issue ->
-        let broken = issue.Heimdall_msp.Issue.inject net in
-        let slice =
-          Heimdall_twin.Twin.slice_nodes ~production:broken
-            ~endpoints:issue.Heimdall_msp.Issue.ticket.endpoints ()
-        in
-        let spec =
-          Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice
-            issue.Heimdall_msp.Issue.ticket
-        in
+        let _, slice, spec = ticket_grant net issue in
         Printf.printf "twin slice: %s\n\n" (String.concat ", " slice);
         if json then print_endline (Heimdall_privilege.Json_frontend.render ~pretty:true spec)
         else print_string (Heimdall_privilege.Dsl.render spec)
@@ -647,12 +649,7 @@ let lint_cmd =
         let priv_findings =
           List.concat_map
             (fun (issue : Heimdall_msp.Issue.t) ->
-              let broken = issue.inject net in
-              let slice =
-                Heimdall_twin.Twin.slice_nodes ~production:broken
-                  ~endpoints:issue.ticket.endpoints ()
-              in
-              let spec = Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice issue.ticket in
+              let broken, _, spec = ticket_grant net issue in
               Lint.check_privilege ~network:broken ~label:("ticket:" ^ issue.name) spec)
             issues
         in
@@ -781,37 +778,38 @@ let analyze_cmd =
         in
         let engine = make_engine flags in
         let net_findings = Lint.check_network ~engine net in
-        (* Per issue: lint the generated spec, then replay the scripted fix
-           in a twin session and ask the over-grant analyzer (PRV004) what
-           privilege the grant carried that the fix never exercised. *)
-        let issue_findings =
-          List.concat_map
+        (* Per issue: grant the ticket and replay its scripted fix in a
+           twin session, once.  The replay feeds the over-grant analyzer
+           (PRV004) and, with --plan, the soundness check below. *)
+        let replays =
+          List.map
             (fun (issue : Heimdall_msp.Issue.t) ->
-              let label = "ticket:" ^ issue.name in
-              let broken = issue.inject net in
-              let slice =
-                Heimdall_twin.Twin.slice_nodes ~production:broken
-                  ~endpoints:issue.ticket.endpoints ()
-              in
-              let spec = Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice issue.ticket in
-              let spec_findings = Lint.check_privilege ~network:broken ~label spec in
+              let broken, slice, spec = ticket_grant net issue in
               let em =
                 Heimdall_twin.Twin.build ~production:broken
                   ~endpoints:issue.ticket.endpoints ()
               in
               let session = Heimdall_twin.Twin.open_session ~privilege:spec em in
               ignore (Heimdall_twin.Session.exec_many session issue.fix_commands);
-              let changes =
-                Heimdall_twin.Emulation.changes (Heimdall_twin.Session.emulation session)
-              in
+              (issue, broken, slice, spec, em, session))
+            issues
+        in
+        (* Lint the generated spec, then ask PRV004 what privilege the
+           grant carried that the fix never exercised. *)
+        let issue_findings =
+          List.concat_map
+            (fun ((issue : Heimdall_msp.Issue.t), broken, _, spec, em, _) ->
+              let label = "ticket:" ^ issue.name in
+              let spec_findings = Lint.check_privilege ~network:broken ~label spec in
+              let changes = Heimdall_twin.Emulation.changes em in
               let usage_findings =
                 Lint.check_privilege_usage ~label ~network:broken ~spec ~changes ()
               in
               spec_findings @ usage_findings)
-            issues
+            replays
         in
         (* With --plan: run the static plan-effect analysis per ticket,
-           then use twin replay as the soundness oracle — the static
+           then use the twin replay as the soundness oracle — the static
            answer must over-approximate the exact one, never undercut
            it. *)
         let plan_findings, plan_failures =
@@ -823,16 +821,9 @@ let analyze_cmd =
               | None -> []
             in
             List.fold_left
-              (fun (findings_acc, fail_acc) (issue : Heimdall_msp.Issue.t) ->
+              (fun (findings_acc, fail_acc)
+                   ((issue : Heimdall_msp.Issue.t), broken, slice, spec, em, session) ->
                 let label = "ticket:" ^ issue.name in
-                let broken = issue.inject net in
-                let slice =
-                  Heimdall_twin.Twin.slice_nodes ~production:broken
-                    ~endpoints:issue.ticket.endpoints ()
-                in
-                let spec =
-                  Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice issue.ticket
-                in
                 let ticket =
                   {
                     Plan_lint.label;
@@ -855,16 +846,7 @@ let analyze_cmd =
                   Heimdall_sem.Plan_sem.prove ~spec
                     (Heimdall_sem.Plan_sem.plan_requirements ~network:broken script)
                 in
-                let em =
-                  Heimdall_twin.Twin.build ~production:broken
-                    ~endpoints:issue.ticket.endpoints ()
-                in
-                let session = Heimdall_twin.Twin.open_session ~privilege:spec em in
-                ignore (Heimdall_twin.Session.exec_many session issue.fix_commands);
-                let changes =
-                  Heimdall_twin.Emulation.changes
-                    (Heimdall_twin.Session.emulation session)
-                in
+                let changes = Heimdall_twin.Emulation.changes em in
                 let exact =
                   exact_session_delta
                     (Heimdall_twin.Emulation.baseline em)
@@ -897,7 +879,7 @@ let analyze_cmd =
                   else fails
                 in
                 (findings_acc @ plan_diags, fail_acc @ List.rev fails))
-              ([], []) issues
+              ([], []) replays
         in
         let findings, fail =
           Lint.apply_severity ~min_severity:severity
@@ -1012,12 +994,7 @@ let resolve_policy_target target =
 let poltree_tickets net issues =
   List.map
     (fun (issue : Heimdall_msp.Issue.t) ->
-      let broken = issue.inject net in
-      let slice =
-        Heimdall_twin.Twin.slice_nodes ~production:broken
-          ~endpoints:issue.ticket.endpoints ()
-      in
-      let spec = Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice issue.ticket in
+      let _, slice, spec = ticket_grant net issue in
       {
         Heimdall_lint.Plan_lint.label = "ticket:" ^ issue.name;
         spec;
@@ -1374,52 +1351,16 @@ let chaos_cmd =
    policy violations, unresolved issues and cross-domain-count verdict
    drift.  Exit non-zero on any failure so CI can use it as a smoke. *)
 let scale_cmd =
-  let shape_arg =
-    Arg.(
-      value
-      & opt string "fat-tree"
-      & info [ "shape" ] ~docv:"SHAPE"
-          ~doc:"Fleet shape: fat-tree, leaf-spine or multi-campus.")
-  in
-  let dim name doc =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ name ] ~docv:"N" ~doc)
-  in
-  let k_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "k"; "arity" ] ~docv:"N" ~doc:"Fat-tree arity (even, 4-32).")
-  in
-  let spines_arg = dim "spines" "Leaf-spine: number of spines." in
-  let leaves_arg = dim "leaves" "Leaf-spine: number of leaves." in
-  let campuses_arg = dim "campuses" "Multi-campus: number of campuses." in
-  let buildings_arg = dim "buildings" "Multi-campus: access routers per campus." in
-  let hosts_arg = dim "hosts" "Hosts attached per edge subnet (default 2)." in
-  let policies_arg = dim "policies" "Closed-form policies per edge subnet (default 2)." in
-  let mode_arg =
-    Arg.(
-      value
-      & opt string "closed"
-      & info [ "policy-mode" ] ~docv:"MODE"
-          ~doc:"Policy source: closed (closed-form intents) or mined (spec miner).")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Issue-placement seed; topology and configs do not depend on it.")
-  in
   let spec_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt string "fat-tree"
       & info [ "spec" ] ~docv:"SPEC"
           ~doc:
-            "Full fleet spec (e.g. fat-tree:k=8:seed=7); overrides the \
-             individual shape flags.")
+            "Fleet spec: a shape (fat-tree, leaf-spine or multi-campus) followed by \
+             optional key=value fields (k, spines, leaves, campuses, buildings, hosts, \
+             policies, mode, seed), e.g. fat-tree:k=8:seed=7.  Unset fields take the \
+             generator's defaults (k=4, hosts=2, policies=2, mode=closed, seed=42).")
   in
   let skip_issues_flag =
     Arg.(
@@ -1427,22 +1368,7 @@ let scale_cmd =
       & info [ "no-issues" ]
           ~doc:"Skip the per-issue workflow runs (generation + verification only).")
   in
-  let run shape k spines leaves campuses buildings hosts policies mode seed spec flags
-      skip_issues =
-    let spec =
-      match spec with
-      | Some s -> s
-      | None ->
-          let kv name = function
-            | None -> []
-            | Some v -> [ Printf.sprintf "%s=%d" name v ]
-          in
-          String.concat ":"
-            ((shape :: kv "k" k)
-            @ kv "spines" spines @ kv "leaves" leaves @ kv "campuses" campuses
-            @ kv "buildings" buildings @ kv "hosts" hosts @ kv "policies" policies
-            @ [ "mode=" ^ mode; "seed=" ^ string_of_int seed ])
-    in
+  let run spec flags skip_issues =
     let params =
       match Heimdall_scenarios.Fleetgen.spec_of_string spec with
       | Ok p -> p
@@ -1577,10 +1503,7 @@ let scale_cmd =
           and run the full lint/verify/schedule/audit pipeline over it, gating \
           on determinism, lint errors, policy violations and issue resolution; \
           exit non-zero on any failure")
-    Term.(
-      const run $ shape_arg $ k_arg $ spines_arg $ leaves_arg $ campuses_arg
-      $ buildings_arg $ hosts_arg $ policies_arg $ mode_arg $ seed_arg $ spec_arg
-      $ engine_flags $ skip_issues_flag)
+    Term.(const run $ spec_arg $ engine_flags $ skip_issues_flag)
 
 (* ---------------- shell ---------------- *)
 
@@ -1596,15 +1519,8 @@ let shell_cmd =
         prerr_endline m;
         exit 1
     | Ok issue ->
-        let broken = issue.Heimdall_msp.Issue.inject net in
+        let broken, slice, privilege = ticket_grant net issue in
         let endpoints = issue.Heimdall_msp.Issue.ticket.endpoints in
-        let slice =
-          Heimdall_twin.Twin.slice_nodes ~production:broken ~endpoints ()
-        in
-        let privilege =
-          Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice
-            issue.Heimdall_msp.Issue.ticket
-        in
         print_endline (Heimdall_msp.Issue.to_string issue);
         Printf.printf "twin slice: %s\n" (String.concat ", " slice);
         print_endline "type commands ('quit' to leave; e.g. 'connect r4', 'show ip route'):";

@@ -26,9 +26,6 @@ type ospf = {
   default_originate : bool;
 }
 
-type bgp_neighbor = { peer : Ipv4.t; remote_as : int }
-type bgp = { local_as : int; bgp_neighbors : bgp_neighbor list; advertised : Prefix.t list }
-
 type secret =
   | Enable_secret of string
   | Snmp_community of string
@@ -54,7 +51,6 @@ type t = {
   acls : Acl.t list;
   static_routes : static_route list;
   ospf : ospf option;
-  bgp : bgp option;
   default_gateway : Ipv4.t option;
   secrets : secret list;
 }
@@ -96,10 +92,10 @@ let normalize t =
     secrets = List.sort compare_secret t.secrets;
   }
 
-let make ?(interfaces = []) ?(vlans = []) ?(acls = []) ?(static_routes = []) ?ospf ?bgp
+let make ?(interfaces = []) ?(vlans = []) ?(acls = []) ?(static_routes = []) ?ospf
     ?default_gateway ?(secrets = []) hostname =
   normalize
-    { hostname; interfaces; vlans; acls; static_routes; ospf; bgp; default_gateway; secrets }
+    { hostname; interfaces; vlans; acls; static_routes; ospf; default_gateway; secrets }
 
 let equal a b = normalize a = normalize b
 let find_interface name t = List.find_opt (fun i -> i.if_name = name) t.interfaces

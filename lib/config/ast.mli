@@ -41,14 +41,6 @@ type ospf = {
   default_originate : bool;
 }
 
-type bgp_neighbor = { peer : Ipv4.t; remote_as : int }
-
-type bgp = {
-  local_as : int;
-  bgp_neighbors : bgp_neighbor list;
-  advertised : Prefix.t list;
-}
-
 (** Secrets a production config carries and a twin must never expose. *)
 type secret =
   | Enable_secret of string
@@ -69,14 +61,13 @@ type t = {
   acls : Acl.t list;  (** Sorted by ACL name. *)
   static_routes : static_route list;
   ospf : ospf option;
-  bgp : bgp option;
   default_gateway : Ipv4.t option;  (** For hosts and L2 switches. *)
   secrets : secret list;
 }
 
 val make : ?interfaces:interface list -> ?vlans:(int * string) list ->
   ?acls:Acl.t list -> ?static_routes:static_route list -> ?ospf:ospf ->
-  ?bgp:bgp -> ?default_gateway:Ipv4.t -> ?secrets:secret list -> string -> t
+  ?default_gateway:Ipv4.t -> ?secrets:secret list -> string -> t
 (** [make hostname] builds a config, normalising component order. *)
 
 val normalize : t -> t

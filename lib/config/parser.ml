@@ -80,7 +80,6 @@ type builder = {
   mutable acl_rules : (string * Acl.rule) list;  (* reversed *)
   mutable static_routes : Ast.static_route list;
   mutable ospf : Ast.ospf option;
-  mutable bgp : Ast.bgp option;
   mutable default_gateway : Ipv4.t option;
   mutable secrets : Ast.secret list;  (* reversed *)
 }
@@ -89,7 +88,6 @@ type section =
   | Top
   | In_interface of Ast.interface
   | In_ospf of Ast.ospf
-  | In_bgp of Ast.bgp
   | In_vlan of int * string option
 
 let flush_section b lineno = function
@@ -101,15 +99,6 @@ let flush_section b lineno = function
   | In_ospf o ->
       if b.ospf <> None then fail lineno "duplicate router ospf stanza";
       b.ospf <- Some { o with networks = List.rev o.networks }
-  | In_bgp g ->
-      if b.bgp <> None then fail lineno "duplicate router bgp stanza";
-      b.bgp <-
-        Some
-          {
-            g with
-            bgp_neighbors = List.rev g.bgp_neighbors;
-            advertised = List.rev g.advertised;
-          }
   | In_vlan (id, name) -> (
       match name with
       | None -> fail lineno "vlan %d: missing name" id
@@ -141,18 +130,6 @@ let ospf_line lineno (o : Ast.ospf) ws : Ast.ospf =
       { o with networks = (prefix_of_word lineno p, int_of_word lineno a) :: o.networks }
   | [ "default-information"; "originate" ] -> { o with default_originate = true }
   | _ -> fail lineno "unknown ospf command: %s" (String.concat " " ws)
-
-let bgp_line lineno (g : Ast.bgp) ws : Ast.bgp =
-  match ws with
-  | [ "neighbor"; peer; "remote-as"; asn ] ->
-      {
-        g with
-        bgp_neighbors =
-          { Ast.peer = addr_of_word lineno peer; remote_as = int_of_word lineno asn }
-          :: g.bgp_neighbors;
-      }
-  | [ "network"; p ] -> { g with advertised = prefix_of_word lineno p :: g.advertised }
-  | _ -> fail lineno "unknown bgp command: %s" (String.concat " " ws)
 
 let top_line lineno b ws =
   match ws with
@@ -206,7 +183,6 @@ let parse text =
       acl_rules = [];
       static_routes = [];
       ospf = None;
-      bgp = None;
       default_gateway = None;
       secrets = [];
     }
@@ -233,7 +209,6 @@ let parse text =
           | Top -> fail lineno "indented line outside a stanza: %s" trimmed
           | In_interface i -> section := In_interface (interface_line lineno i ws)
           | In_ospf o -> section := In_ospf (ospf_line lineno o ws)
-          | In_bgp g -> section := In_bgp (bgp_line lineno g ws)
           | In_vlan (id, _) -> (
               match ws with
               | [ "name"; n ] -> section := In_vlan (id, Some n)
@@ -246,10 +221,6 @@ let parse text =
           | [ "router"; "ospf" ] ->
               section :=
                 In_ospf { Ast.router_id = None; networks = []; default_originate = false }
-          | [ "router"; "bgp"; asn ] ->
-              section :=
-                In_bgp
-                  { Ast.local_as = int_of_word lineno asn; bgp_neighbors = []; advertised = [] }
           | [ "vlan"; id ] -> section := In_vlan (int_of_word lineno id, None)
           | _ -> top_line lineno b ws
         end)
@@ -260,7 +231,7 @@ let parse text =
   in
   Ast.make ~interfaces:(List.rev b.interfaces) ~vlans:(List.rev b.vlans)
     ~acls:(build_acls !last (List.rev b.acl_rules))
-    ~static_routes:(List.rev b.static_routes) ?ospf:b.ospf ?bgp:b.bgp
+    ~static_routes:(List.rev b.static_routes) ?ospf:b.ospf
     ?default_gateway:b.default_gateway ~secrets:(List.rev b.secrets) hostname
 
 let parse_result text =

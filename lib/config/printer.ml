@@ -69,16 +69,6 @@ let render (c : Ast.t) =
         o.networks;
       if o.default_originate then bprintf buf " default-information originate\n";
       bang ());
-  (match c.bgp with
-  | None -> ()
-  | Some b ->
-      bprintf buf "router bgp %d\n" b.local_as;
-      List.iter
-        (fun (n : Ast.bgp_neighbor) ->
-          bprintf buf " neighbor %s remote-as %d\n" (Ipv4.to_string n.peer) n.remote_as)
-        b.bgp_neighbors;
-      List.iter (fun p -> bprintf buf " network %s\n" (Prefix.to_string p)) b.advertised;
-      bang ());
   List.iter
     (fun (r : Ast.static_route) ->
       if r.sr_distance = 1 then

@@ -86,19 +86,17 @@ let static_routes net node =
       in
       explicit @ gateway
 
-let node_candidates network ospf bgp node =
+let node_candidates network ospf node =
   connected_routes network node
   @ static_routes network node
   @ Option.value (List.assoc_opt node ospf) ~default:[]
-  @ Option.value (List.assoc_opt node bgp) ~default:[]
 
 let compute network =
   let l2 = L2.compute network in
   let ospf = Ospf.all_routes network l2 in
-  let bgp = Bgp.all_routes network l2 in
   let candidates =
     List.fold_left
-      (fun acc node -> Smap.add node (node_candidates network ospf bgp node) acc)
+      (fun acc node -> Smap.add node (node_candidates network ospf node) acc)
       Smap.empty (Network.node_names network)
   in
   let fibs = Smap.map Fib.of_candidates candidates in
@@ -116,8 +114,8 @@ let compute network =
 
    - L2 ([L2.compute]): interface name/enabled/switchport (attachments)
      and address (SVIs), plus VLAN definitions.
-   - Routing (connected/static/OSPF/BGP): the L2 projection plus OSPF
-     cost/area per interface, [static_routes], [ospf], [bgp] and
+   - Routing (connected/static/OSPF): the L2 projection plus OSPF
+     cost/area per interface, [static_routes], [ospf] and
      [default_gateway].
 
    ACL bodies, ACL bindings, descriptions and secrets appear in neither:
@@ -138,7 +136,6 @@ let routing_projection (cfg : Ast.t) =
     cfg.vlans,
     cfg.static_routes,
     cfg.ospf,
-    cfg.bgp,
     cfg.default_gateway )
 
 let projection_unchanged proj base_net net node =
@@ -169,10 +166,9 @@ let recompute ~base network =
           else L2.compute network
         in
         let ospf = Ospf.all_routes network l2 in
-        let bgp = Bgp.all_routes network l2 in
         let candidates =
           List.fold_left
-            (fun acc node -> Smap.add node (node_candidates network ospf bgp node) acc)
+            (fun acc node -> Smap.add node (node_candidates network ospf node) acc)
             Smap.empty (Network.node_names network)
         in
         let fibs =

@@ -7,7 +7,7 @@ open Heimdall_net
 type t
 
 val compute : Network.t -> t
-(** Run the whole control plane: connected + static + OSPF + BGP routes,
+(** Run the whole control plane: connected + static + OSPF routes,
     admin-distance selection, per-node FIBs, plus host default gateways. *)
 
 val recompute : base:t -> Network.t -> t

@@ -1,14 +1,13 @@
 open Heimdall_net
 
-type protocol = Connected | Static | Ospf | Bgp
+type protocol = Connected | Static | Ospf
 
 let protocol_to_string = function
   | Connected -> "connected"
   | Static -> "static"
   | Ospf -> "ospf"
-  | Bgp -> "bgp"
 
-let admin_distance = function Connected -> 0 | Static -> 1 | Bgp -> 20 | Ospf -> 110
+let admin_distance = function Connected -> 0 | Static -> 1 | Ospf -> 110
 
 type route = {
   prefix : Prefix.t;

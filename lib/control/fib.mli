@@ -2,12 +2,12 @@
 
 open Heimdall_net
 
-type protocol = Connected | Static | Ospf | Bgp
+type protocol = Connected | Static | Ospf
 
 val protocol_to_string : protocol -> string
 
 val admin_distance : protocol -> int
-(** Connected 0, Bgp 20, Static 1 (overridable per route), Ospf 110. *)
+(** Connected 0, Static 1 (overridable per route), Ospf 110. *)
 
 type route = {
   prefix : Prefix.t;

@@ -6,7 +6,7 @@
 
     - {!Net}: addresses, prefixes, topology, ACLs, flows
     - {!Config}: the device configuration language
-    - {!Control}: control-plane simulation (OSPF/BGP/static) and dataplanes
+    - {!Control}: control-plane simulation (OSPF/static) and dataplanes
     - {!Verify}: flow tracing, policies, the spec miner
     - {!Privilege}: the Privilege_msp DSL and evaluator
     - {!Lint}: static analysis over configs, ACLs and privilege specs
@@ -41,7 +41,6 @@ module Control = struct
   module L2 = Heimdall_control.L2
   module Fib = Heimdall_control.Fib
   module Ospf = Heimdall_control.Ospf
-  module Bgp = Heimdall_control.Bgp
   module Dataplane = Heimdall_control.Dataplane
   module Loader = Heimdall_control.Loader
 end
@@ -96,14 +95,6 @@ module Msp = struct
   module Workflow = Heimdall_msp.Workflow
   module Attacks = Heimdall_msp.Attacks
   module Emergency = Heimdall_msp.Emergency
-  module Escalation = Heimdall_msp.Escalation
-end
-
-module Sdn = struct
-  module Rule = Heimdall_sdn.Rule
-  module Fabric = Heimdall_sdn.Fabric
-  module Controller = Heimdall_sdn.Controller
-  module Twin_sdn = Heimdall_sdn.Twin_sdn
 end
 
 module Scenarios = struct
@@ -114,19 +105,6 @@ module Scenarios = struct
   module Campaign = Heimdall_scenarios.Campaign
   module Experiments = Heimdall_scenarios.Experiments
 end
-
-(** {1 One-call workflow entry points} *)
-
-(** Resolve a ticket the Heimdall way on the given production network:
-    returns the instrumented run (twin, session, enforcer outcome).  The
-    engine ({!Verify.Engine.create}) is the one verification context:
-    its caches, domain pool and observability serve every stage. *)
-let resolve_with_heimdall ?strategy ~engine ~production ~policies ~issue () =
-  Heimdall_msp.Workflow.run_heimdall ?strategy ~engine ~production ~policies ~issue ()
-
-(** Resolve a ticket the status-quo way (direct access). *)
-let resolve_with_direct_access ~engine ~production ~issue =
-  Heimdall_msp.Workflow.run_current ~engine ~production ~issue
 
 (** Mine the policy set of a network (config2spec stand-in). *)
 let mine_policies ?options network =

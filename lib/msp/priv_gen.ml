@@ -45,5 +45,3 @@ let for_ticket ~network ~slice (ticket : Ticket.t) =
     else [ Privilege.allow ~actions:(repair_actions ticket.kind) ~nodes:infra () ]
   in
   Privilege.of_predicates ((show :: repairs) @ [])
-
-let escalation kind ~nodes = Privilege.allow ~actions:(repair_actions kind) ~nodes ()

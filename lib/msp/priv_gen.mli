@@ -22,8 +22,3 @@ val for_ticket : network:Network.t -> slice:string list -> Ticket.t -> Privilege
 (** Generate the spec.  Hosts in the slice get read-only access;
     infrastructure nodes (routers, switches, firewalls) also get the
     ticket-class repair actions. *)
-
-val escalation : Ticket.kind -> nodes:string list -> Privilege.predicate
-(** The predicate an admin would grant when a technician outgrows the
-    initial spec (paper §7, privilege escalation): the repair actions of
-    the given ticket class on the listed nodes. *)

@@ -33,7 +33,7 @@ let error_to_string = function
 
 type t = {
   emulation : Emulation.t;
-  mutable privilege : Privilege.t;
+  privilege : Privilege.t;
   technician : string;
   obs : Heimdall_obs.Obs.t option;
   mutable connected : string option;
@@ -59,14 +59,6 @@ let record t ~node ~command ~action verdict =
   Heimdall_obs.Obs.incr t.obs "session.commands"
     ~labels:[ ("verdict", if verdict = Denied then "denied" else "allowed") ];
   if verdict = Denied then Heimdall_obs.Obs.incr t.obs "session.denied"
-
-let escalate t predicate =
-  t.privilege <- Privilege.prepend predicate t.privilege;
-  record t
-    ~node:(Option.value t.connected ~default:"-")
-    ~command:"escalate" ~action:"secret.set" Allowed
-(* escalation is privileged bookkeeping; logged under a sensitive action
-   name so audits surface it prominently. *)
 
 let run t (cmd : Command.t) node =
   (* Precondition: privilege granted.  Produce console output. *)

@@ -51,10 +51,6 @@ val exec_many : t -> string list -> (string, error) result list
 val emulation : t -> Emulation.t
 val privilege : t -> Privilege.t
 
-val escalate : t -> Privilege.predicate -> unit
-(** Grant an additional predicate (highest precedence) — the paper's
-    privilege-escalation flow.  The escalation itself is logged. *)
-
 val connected : t -> string option
 val log : t -> log_entry list
 (** All entries, oldest first. *)

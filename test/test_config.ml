@@ -45,12 +45,6 @@ let sample_config () =
         networks = [ (Prefix.of_string "10.0.1.0/24", 0); (Prefix.of_string "10.0.2.0/24", 1) ];
         default_originate = true;
       }
-    ~bgp:
-      {
-        Ast.local_as = 65001;
-        bgp_neighbors = [ { Ast.peer = Ipv4.of_string "203.0.113.1"; remote_as = 65002 } ];
-        advertised = [ Prefix.of_string "10.0.0.0/16" ];
-      }
     ~default_gateway:(Ipv4.of_string "10.0.1.254")
     ~secrets:
       [
@@ -118,6 +112,7 @@ let test_parse_errors () =
       ("hostname a\ninterface eth0\n ip address banana\n", "bad address");
       ("hostname a\nvlan 3\n!\n", "vlan without name");
       ("hostname a\naccess-list L 10 permit tcp any any eq x\n", "bad port");
+      ("hostname a\nrouter bgp 65001\n", "router bgp");
     ]
   in
   List.iter
@@ -125,7 +120,11 @@ let test_parse_errors () =
       match Parser.parse_result text with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail ("expected parse error: " ^ label))
-    cases
+    cases;
+  (* No BGP support: the stanza is an unknown command on its own line. *)
+  match Parser.parse_result "hostname a\nrouter bgp 65001\n" with
+  | Error (line, _) -> checki "router bgp at line 2" 2 line
+  | Ok _ -> Alcotest.fail "router bgp parsed"
 
 let test_parse_error_line_numbers () =
   match Parser.parse_result "hostname a\ninterface eth0\n ip address banana\n" with

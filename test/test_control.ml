@@ -1,5 +1,5 @@
 (* Tests for the control-plane layer: network container, L2 domains,
-   OSPF, BGP, RIB selection and dataplane computation.  Fixtures are
+   OSPF, RIB selection and dataplane computation.  Fixtures are
    built with the scenarios Builder. *)
 
 open Heimdall_net
@@ -244,62 +244,6 @@ let test_ospf_two_abr_chain () =
   | Some _ -> ()
   | None -> Alcotest.fail "no route across two ABRs"
 
-(* ---------------- BGP ---------------- *)
-
-let bgp_pair () =
-  let b = B.create () in
-  List.iter (B.router b) [ "ra"; "rb" ];
-  let subnet = B.p2p b "ra" "rb" in
-  let a_addr = Prefix.host subnet 1 and b_addr = Prefix.host subnet 2 in
-  B.routed_host b ~host_name:"hha" ~dev:"ra" ~subnet:(pfx "10.41.0.0/24") ~host_octet:10;
-  B.routed_host b ~host_name:"hhb" ~dev:"rb" ~subnet:(pfx "10.42.0.0/24") ~host_octet:10;
-  let net = B.build b in
-  let with_bgp node local_as peer remote_as advertised =
-    let cfg = Network.config_exn node net in
-    {
-      cfg with
-      Ast.bgp =
-        Some
-          {
-            Ast.local_as;
-            bgp_neighbors = [ { Ast.peer; remote_as } ];
-            advertised;
-          };
-    }
-  in
-  net
-  |> Network.with_config "ra" (with_bgp "ra" 65001 b_addr 65002 [ pfx "10.41.0.0/24" ])
-  |> Network.with_config "rb" (with_bgp "rb" 65002 a_addr 65001 [ pfx "10.42.0.0/24" ])
-
-let test_bgp_session_and_routes () =
-  let net = bgp_pair () in
-  let l2 = L2.compute net in
-  checki "two session views" 2 (List.length (Bgp.sessions net l2));
-  let dp = Dataplane.compute net in
-  match Fib.lookup (ip "10.42.0.10") (Dataplane.fib "ra" dp) with
-  | Some r -> checkb "bgp route" true (r.Fib.protocol = Fib.Bgp)
-  | None -> Alcotest.fail "ra has no bgp route"
-
-let test_bgp_wrong_as_no_session () =
-  let net = bgp_pair () in
-  let cfg = Network.config_exn "ra" net in
-  let bad =
-    {
-      cfg with
-      Ast.bgp =
-        Some
-          {
-            (Option.get cfg.Ast.bgp) with
-            Ast.bgp_neighbors =
-              List.map
-                (fun (n : Ast.bgp_neighbor) -> { n with remote_as = 65999 })
-                (Option.get cfg.Ast.bgp).bgp_neighbors;
-          };
-    }
-  in
-  let net = Network.with_config "ra" bad net in
-  checki "no sessions" 0 (List.length (Bgp.sessions net (L2.compute net)))
-
 (* ---------------- RIB / FIB selection ---------------- *)
 
 let test_admin_distance_preference () =
@@ -417,8 +361,6 @@ let suite =
     Alcotest.test_case "ospf default originate" `Quick test_ospf_default_originate;
     Alcotest.test_case "ospf inter-area" `Quick test_ospf_interarea;
     Alcotest.test_case "ospf two-abr chain" `Quick test_ospf_two_abr_chain;
-    Alcotest.test_case "bgp session and routes" `Quick test_bgp_session_and_routes;
-    Alcotest.test_case "bgp wrong AS" `Quick test_bgp_wrong_as_no_session;
     Alcotest.test_case "admin distance preference" `Quick test_admin_distance_preference;
     Alcotest.test_case "fib longest prefix" `Quick test_fib_longest_prefix;
     Alcotest.test_case "fib candidate selection" `Quick test_fib_candidate_selection;

@@ -1,5 +1,4 @@
-(* Tests for the paper's §7 extensions — emergency mode and privilege
-   escalation — and for the network loader. *)
+(* Tests for the paper's §7 emergency mode and for the network loader. *)
 
 open Heimdall_net
 open Heimdall_control
@@ -132,71 +131,6 @@ let test_emergency_fixes_real_issue () =
   List.iter (fun cmd -> ignore (Emergency.exec s cmd)) issue.Issue.fix_commands;
   checkb "resolved" true (not (Issue.symptom_present ~engine issue (Emergency.production s)))
 
-(* ---------------- Escalation ---------------- *)
-
-let escalation_fixture () =
-  let net, _ = fixture () in
-  let ticket =
-    Ticket.make ~id:"T" ~kind:Ticket.Routing ~description:"" ~endpoints:[ "h1"; "h8" ]
-  in
-  let slice = Heimdall_twin.Twin.slice_nodes ~production:net ~endpoints:[ "h1"; "h8" ] () in
-  let current = Priv_gen.for_ticket ~network:net ~slice ticket in
-  (net, ticket, slice, current)
-
-let request ?(actions = [ "acl.rule"; "acl.bind" ]) ?(nodes = [ "r8" ]) ticket =
-  {
-    Escalation.technician = "tech";
-    ticket;
-    actions;
-    nodes;
-    justification = "issue is an ACL, not routing";
-  }
-
-let test_escalation_granted () =
-  let net, ticket, slice, current = escalation_fixture () in
-  match Escalation.decide ~network:net ~slice ~current (request ticket) with
-  | Escalation.Granted pred ->
-      let upgraded = Privilege.prepend pred current in
-      checkb "now allowed" true
-        (Privilege.allows upgraded (Privilege.request "acl.rule" "r8"));
-      checkb "was not allowed" false
-        (Privilege.allows current (Privilege.request "acl.rule" "r8"))
-  | Escalation.Refused reason -> Alcotest.fail reason
-
-let test_escalation_refusals () =
-  let net, ticket, slice, current = escalation_fixture () in
-  let decide r = Escalation.decide ~network:net ~slice ~current r in
-  let refused r label =
-    match decide r with
-    | Escalation.Refused _ -> ()
-    | Escalation.Granted _ -> Alcotest.fail ("should refuse: " ^ label)
-  in
-  refused (request ~actions:[ "system.erase" ] ticket) "destructive";
-  refused (request ~actions:[ "secret.set" ] ticket) "credentials";
-  refused (request ~actions:[ "acl.rule" ] ~nodes:[ "r9" ] ticket) "outside slice";
-  refused (request ~actions:[ "acl.rule" ] ~nodes:[ "h1" ] ticket) "host target";
-  refused (request ~actions:[ "frobnicate" ] ticket) "unknown action";
-  refused (request ~actions:[] ticket) "no actions";
-  refused (request ~actions:[ "acl.rule"; "vlan.define" ] ticket) "mixed profile";
-  refused (request ~actions:[ "ospf.cost" ] ~nodes:[ "r2" ] ticket) "already allowed"
-
-let test_escalation_applies_to_session () =
-  let net, ticket, slice, current = escalation_fixture () in
-  let em = Heimdall_twin.Twin.build ~production:net ~endpoints:[ "h1"; "h8" ] () in
-  let session = Heimdall_twin.Twin.open_session ~privilege:current em in
-  ignore (Heimdall_twin.Session.exec session "connect r8");
-  checkb "denied before" true
-    (Result.is_error
-       (Heimdall_twin.Session.exec session
-          "configure access-list SRV_PROT 15 deny icmp 10.1.20.0/24 10.3.10.0/24"));
-  (match Escalation.decide ~network:net ~slice ~current (request ticket) with
-  | Escalation.Granted pred -> Escalation.grant session pred
-  | Escalation.Refused reason -> Alcotest.fail reason);
-  checkb "allowed after" true
-    (Result.is_ok
-       (Heimdall_twin.Session.exec session
-          "configure access-list SRV_PROT 15 deny icmp 10.1.20.0/24 10.3.10.0/24"))
-
 (* ---------------- Loader ---------------- *)
 
 let topology_text =
@@ -270,8 +204,7 @@ let test_loader_error_positions () =
 
 let test_loader_roundtrip_via_dir () =
   let net = Enterprise.build () in
-  let dir = Filename.temp_file "heimdall" "" in
-  Sys.remove dir;
+  Temp_dir.with_temp_dir "heimdall" @@ fun dir ->
   Loader.save_dir dir net;
   match Loader.load_dir dir with
   | Ok loaded ->
@@ -314,8 +247,7 @@ let test_emergency_sequential_changes_compose () =
 
 let test_loader_university_roundtrip () =
   let net = Heimdall_scenarios.University.build () in
-  let dir = Filename.temp_file "heimdall-uni" "" in
-  Sys.remove dir;
+  Temp_dir.with_temp_dir "heimdall-uni" @@ fun dir ->
   Loader.save_dir dir net;
   match Loader.load_dir dir with
   | Ok loaded ->
@@ -355,10 +287,6 @@ let suite =
     Alcotest.test_case "emergency denies out of spec" `Quick test_emergency_denies_out_of_spec;
     Alcotest.test_case "emergency audit complete" `Quick test_emergency_audit_complete;
     Alcotest.test_case "emergency fixes real issue" `Quick test_emergency_fixes_real_issue;
-    Alcotest.test_case "escalation granted" `Quick test_escalation_granted;
-    Alcotest.test_case "escalation refusals" `Quick test_escalation_refusals;
-    Alcotest.test_case "escalation applies to session" `Quick
-      test_escalation_applies_to_session;
     Alcotest.test_case "loader load" `Quick test_loader_load;
     Alcotest.test_case "loader errors" `Quick test_loader_errors;
     Alcotest.test_case "loader error positions" `Quick test_loader_error_positions;

@@ -24,7 +24,6 @@ let () =
       ("properties", Test_properties.suite);
       ("reach-audit", Test_reach_audit.suite);
       ("surface", Test_surface.suite);
-      ("sdn", Test_sdn.suite);
       ("university", Test_university.suite);
       ("enterprise", Test_enterprise.suite);
       ("fleet", Test_fleet.suite);

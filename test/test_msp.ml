@@ -58,11 +58,6 @@ let test_priv_gen_kind_specific () =
   checkb "routing denies vlan" false
     (Privilege.allows routing_spec (Privilege.request "vlan.switchport" "r4"))
 
-let test_priv_gen_escalation () =
-  let pred = Priv_gen.escalation Ticket.Connectivity ~nodes:[ "fw1" ] in
-  let spec = Privilege.of_predicates [ pred ] in
-  checkb "escalated acl" true (Privilege.allows spec (Privilege.request "acl.rule" "fw1"))
-
 (* ---------------- RMM baseline ---------------- *)
 
 let test_rmm_full_access () =
@@ -211,7 +206,6 @@ let suite =
   [
     Alcotest.test_case "priv_gen shapes" `Quick test_priv_gen_shapes;
     Alcotest.test_case "priv_gen kind specific" `Quick test_priv_gen_kind_specific;
-    Alcotest.test_case "priv_gen escalation" `Quick test_priv_gen_escalation;
     Alcotest.test_case "rmm full access leaks" `Quick test_rmm_full_access;
     Alcotest.test_case "rmm changes hit production" `Quick test_rmm_changes_hit_production_model;
     Alcotest.test_case "issues inject and probe" `Quick test_issues_inject_and_probe;

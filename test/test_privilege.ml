@@ -77,11 +77,15 @@ let test_interface_scoping () =
     (Privilege.allows spec (Privilege.request "interface.up" "r1"))
 
 let test_prepend_overrides () =
+  (* First match wins: an earlier allow overrides a later blanket deny. *)
   let spec =
-    Privilege.of_predicates [ Privilege.deny ~actions:[ "*" ] ~nodes:[ "*" ] () ]
+    Privilege.of_predicates
+      [
+        Privilege.allow ~actions:[ "diag.ping" ] ~nodes:[ "h1" ] ();
+        Privilege.deny ~actions:[ "*" ] ~nodes:[ "*" ] ();
+      ]
   in
-  let spec = Privilege.prepend (Privilege.allow ~actions:[ "diag.ping" ] ~nodes:[ "h1" ] ()) spec in
-  checkb "escalated" true (Privilege.allows spec (Privilege.request "diag.ping" "h1"));
+  checkb "earlier allow wins" true (Privilege.allows spec (Privilege.request "diag.ping" "h1"));
   checkb "rest denied" false (Privilege.allows spec (Privilege.request "diag.ping" "h2"))
 
 let test_allowed_actions () =

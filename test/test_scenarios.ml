@@ -256,7 +256,7 @@ let test_sweep_all_cache_reuse () =
      summaries. *)
   let net, policies = Experiments.university () in
   let open Heimdall_verify in
-  let dir = Filename.temp_dir "heimdall-dpcache-sweep" "" in
+  Temp_dir.with_temp_dir "heimdall-dpcache-sweep" @@ fun dir ->
   let engine = Engine.create ~domains:1 ~cache_dir:dir () in
   let first = Metrics.sweep_all ~engine ~production:net ~policies () in
   let built_after_first = (Engine.stats engine).Engine.dataplanes_built in

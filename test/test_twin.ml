@@ -260,21 +260,6 @@ let test_monitor_malformed_logged_denied () =
   | _ -> Alcotest.fail "expected Bad_command");
   checki "denied" 1 (Session.denied_count session)
 
-let test_session_escalation () =
-  let _, em = build_twin () in
-  let privilege =
-    Privilege.of_predicates [ Privilege.allow ~actions:[ "show.*" ] ~nodes:[ "r4" ] () ]
-  in
-  let session = Twin.open_session ~privilege em in
-  ignore (Session.exec session "connect r4");
-  checkb "denied before" true (Result.is_error (Session.exec session "ping 10.1.10.1"));
-  Session.escalate session (Privilege.allow ~actions:[ "diag.*" ] ~nodes:[ "r4" ] ());
-  checkb "allowed after" true (Result.is_ok (Session.exec session "ping 10.1.10.1"));
-  checkb "escalation logged" true
-    (List.exists
-       (fun (e : Session.log_entry) -> e.command = "escalate")
-       (Session.log session))
-
 let test_exec_failed_surfaces () =
   let session = full_privilege_session () in
   ignore (Session.exec session "connect r4");
@@ -379,7 +364,6 @@ let suite =
     Alcotest.test_case "monitor logs everything" `Quick test_monitor_logs_everything;
     Alcotest.test_case "monitor logs malformed as denied" `Quick
       test_monitor_malformed_logged_denied;
-    Alcotest.test_case "session escalation" `Quick test_session_escalation;
     Alcotest.test_case "exec failure surfaces" `Quick test_exec_failed_surfaces;
     Alcotest.test_case "twin edits isolated from production" `Quick
       test_twin_edits_do_not_touch_production;

@@ -398,7 +398,7 @@ let test_engine_incremental_dataplane () =
     (Network.config "r2" (Dataplane.network acl_dp) = Some cfg)
 
 let test_engine_persistent_cache () =
-  let dir = Filename.temp_dir "heimdall-dpcache-test" "" in
+  Temp_dir.with_temp_dir "heimdall-dpcache-test" @@ fun dir ->
   let net = triangle () in
   let e1 = Engine.create ~domains:1 ~cache_dir:dir () in
   let dp1 = Engine.dataplane e1 net in
