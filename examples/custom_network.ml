@@ -53,8 +53,11 @@ let () =
   | Ok () -> print_endline "custom network validates"
   | Error m -> failwith m);
 
+  (* One verification context for the whole run: the miner's dataplane
+     is the one the sweep below starts from. *)
+  let engine = Verify.Engine.create ~domains:1 () in
   (* Mine the policies config2spec-style. *)
-  let policies = mine_policies net in
+  let policies = mine_policies ~engine net in
   Printf.printf "%d policies mined:\n" (List.length policies);
   List.iter (fun p -> Printf.printf "  %s\n" (Verify.Policy.to_string p)) policies;
 
@@ -82,7 +85,6 @@ let () =
 
   (* Finally: the Figure-8-style sweep on this custom network. *)
   print_endline "\nattack-surface sweep (bring down each interface):";
-  let engine = Verify.Engine.create ~domains:1 () in
   let summaries = Scenarios.Metrics.sweep_all ~engine ~production:net ~policies () in
   List.iter
     (fun (s : Scenarios.Metrics.summary) ->

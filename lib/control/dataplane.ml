@@ -1,6 +1,7 @@
 open Heimdall_net
 open Heimdall_config
 module Smap = Map.Make (String)
+module Amap = Map.Make (Ipv4)
 
 type t = {
   network : Network.t;
@@ -10,7 +11,23 @@ type t = {
      recompute can reuse a node's built FIB (trie and all) whenever its
      candidate list comes out identical. *)
   candidates : Fib.route list Smap.t;
+  (* Interface address -> (node, iface): what a trace asks at every hop.
+     A [Map], not a [Hashtbl]: dataplanes are marshalled into the
+     persistent cache and shared across domains. *)
+  owners : (string * string) Amap.t;
 }
+
+(* The first owner in (node name, interface order) wins a duplicated
+   address — the same answer as [Network.owner_of_address]'s scan. *)
+let owner_index network =
+  List.fold_left
+    (fun acc (node, cfg) ->
+      List.fold_left
+        (fun acc (iface, a) ->
+          let addr = Ifaddr.address a in
+          if Amap.mem addr acc then acc else Amap.add addr (node, iface) acc)
+        acc (Ast.addresses cfg))
+    Amap.empty (Network.configs network)
 
 let connected_routes net node =
   match Network.config node net with
@@ -100,7 +117,7 @@ let compute network =
       Smap.empty (Network.node_names network)
   in
   let fibs = Smap.map Fib.of_candidates candidates in
-  { network; l2; fibs; candidates }
+  { network; l2; fibs; candidates; owners = owner_index network }
 
 (* ------------------------------------------------------------------ *)
 (* Incremental recomputation                                           *)
@@ -153,7 +170,8 @@ let recompute ~base network =
           changed
       then
         (* Routing inputs untouched (ACL/description/secret-only change):
-           every FIB and the L2 map are provably identical — only the
+           every FIB, the L2 map and the address index (addresses are
+           part of the projection) are provably identical — only the
            network the tracer consults needs swapping. *)
         { base with network }
       else
@@ -181,14 +199,15 @@ let recompute ~base network =
               | _ -> Fib.of_candidates cands)
             candidates
         in
-        { network; l2; fibs; candidates }
+        { network; l2; fibs; candidates; owners = owner_index network }
 
 let network t = t.network
 let l2 t = t.l2
 let fib node t = Option.value (Smap.find_opt node t.fibs) ~default:Fib.empty
+let owner_of_address addr t = Amap.find_opt addr t.owners
 
 let l3_neighbour t node addr =
-  match Network.owner_of_address addr t.network with
+  match owner_of_address addr t with
   | None -> None
   | Some (peer_node, peer_iface) ->
       let peer_ep = { Topology.node = peer_node; iface = peer_iface } in

@@ -119,19 +119,6 @@ let owner_of_address addr t =
             (Ast.addresses cfg))
     t.configs None
 
-let subnet_of_address addr t =
-  Smap.fold
-    (fun _ cfg acc ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-          List.find_map
-            (fun (_, a) ->
-              let subnet = Ifaddr.subnet a in
-              if Prefix.contains subnet addr then Some subnet else None)
-            (Ast.addresses cfg))
-    t.configs None
-
 let host_address name t =
   Option.bind (config name t) (fun cfg ->
       match Ast.addresses cfg with

@@ -58,9 +58,22 @@ let adjacencies net l2 =
       cost (default-originate routers originate 0.0.0.0/0 at cost 1);
    3. propagate summaries across area border routers to a fixpoint,
       keeping for each (router, prefix) the best metric and the first-hop
-      neighbour it was learned through. *)
+      neighbour it was learned through.
 
-type learned = { metric : int; via : (string * int) option (* neighbour, area *) }
+   Step 3 is evaluated semi-naively: origins are offered once, and each
+   round walks only the entries set since the previous round's snapshot.
+   Every offer this skips is one the full evaluation would have rejected
+   without touching the table (the argument is in ospf.mli), so the table
+   — contents and insertion order, hence the output — is the same. *)
+
+type learned = {
+  metric : int;
+  via : (string * int) option; (* neighbour, area *)
+  round : int; (* the propagation round that last set this entry *)
+}
+
+module Smap = Map.Make (String)
+module Imap = Map.Make (Int)
 
 let all_routes net l2 =
   let ifaces = enabled_interfaces net in
@@ -93,14 +106,20 @@ let all_routes net l2 =
         Hashtbl.replace sp_cache (area, src) tbl;
         tbl
   in
-  let routers_in_area area =
-    List.filter_map (fun i -> if i.area = area then Some i.router else None) ifaces
-    |> List.sort_uniq String.compare
+  (* Interface-derived lookups, built once. *)
+  let cons x xs = Some (x :: Option.value xs ~default:[]) in
+  let by_router value =
+    List.fold_left (fun m i -> Smap.update i.router (cons (value i)) m) Smap.empty ifaces
   in
-  let areas_of r =
-    List.filter_map (fun i -> if i.router = r then Some i.area else None) ifaces
-    |> List.sort_uniq Int.compare
+  let areas_by_router = Smap.map (List.sort_uniq Int.compare) (by_router (fun i -> i.area)) in
+  let subnets_by_router = by_router (fun i -> Ifaddr.subnet i.addr) in
+  let routers_by_area =
+    List.fold_left (fun m i -> Imap.update i.area (cons i.router) m) Imap.empty ifaces
+    |> Imap.map (List.sort_uniq String.compare)
   in
+  let areas_of r = Option.value (Smap.find_opt r areas_by_router) ~default:[] in
+  let subnets_of r = Option.value (Smap.find_opt r subnets_by_router) ~default:[] in
+  let routers_in_area a = Option.value (Imap.find_opt a routers_by_area) ~default:[] in
   (* Origins: (prefix, originating router, area, origin cost). *)
   let origins =
     List.map (fun i -> (Ifaddr.subnet i.addr, i.router, i.area, i.cost)) ifaces
@@ -113,82 +132,86 @@ let all_routes net l2 =
         (Network.configs net)
   in
   (* best.(router)(prefix) -> learned *)
-  let best : (string * string, learned) Hashtbl.t = Hashtbl.create 64 in
-  let update r prefix (cand : learned) =
-    let key = (r, Prefix.to_string prefix) in
+  (* Unseeded even under [OCAMLRUNPARAM=R]: the fold order decides which
+     of two equal-metric offers wins. *)
+  let best : (string * string, learned) Hashtbl.t = Hashtbl.create ~random:false 64 in
+  let round = ref 0 in
+  let update r prefix_s metric via =
+    let key = (r, prefix_s) in
     match Hashtbl.find_opt best key with
-    | Some cur when cur.metric <= cand.metric -> false
+    | Some cur when cur.metric <= metric -> false
     | _ ->
-        Hashtbl.replace best key cand;
+        Hashtbl.replace best key { metric; via; round = !round };
         true
   in
-  let learn_via_area area advertiser prefix base_metric =
-    (* Every router in [area] can learn [prefix] through [advertiser]. *)
+  let learn_via_area area advertiser prefix_s base_metric =
+    (* Every router in [area] can learn [prefix_s] through [advertiser]. *)
     List.fold_left
       (fun changed r ->
         if r = advertiser then changed
         else
           match Hashtbl.find_opt (sp area r) advertiser with
           | None -> changed
-          | Some (d, path) ->
-              let via =
-                match path with _ :: hop :: _ -> Some (hop, area) | _ -> None
-              in
-              if via = None then changed
-              else update r prefix { metric = d + base_metric; via } || changed)
+          | Some (d, path) -> (
+              match path with
+              | _ :: hop :: _ ->
+                  update r prefix_s (d + base_metric) (Some (hop, area)) || changed
+              | _ -> changed))
       false (routers_in_area area)
   in
-  let iterate () =
-    let changed = ref false in
-    (* Seed: intra-area. *)
-    List.iter
-      (fun (prefix, origin, area, cost) ->
-        if learn_via_area area origin prefix cost then changed := true;
-        (* The originator itself reaches the prefix at its own cost —
-           recorded so ABRs can re-advertise subnets they are attached to. *)
-        if
-          update origin prefix { metric = cost; via = None }
-        then changed := true)
-      origins;
-    (* Propagate through ABRs. *)
-    let snapshot = Hashtbl.fold (fun k v acc -> (k, v) :: acc) best [] in
-    List.iter
-      (fun ((r, prefix_s), l) ->
-        let r_areas = areas_of r in
-        if List.length r_areas > 1 then
-          let prefix = Prefix.of_string prefix_s in
-          let learned_area = match l.via with Some (_, a) -> Some a | None -> None in
-          List.iter
-            (fun b ->
-              if learned_area <> Some b then
-                if learn_via_area b r prefix l.metric then changed := true)
-            r_areas)
-      snapshot;
-    !changed
-  in
-  let rec fixpoint n = if n > 0 && iterate () then fixpoint (n - 1) in
-  fixpoint 16;
-  (* Materialise per-router routes. *)
-  let subnets_of router =
-    List.filter_map
-      (fun i -> if i.router = router then Some (Ifaddr.subnet i.addr) else None)
-      ifaces
-  in
-  (* Adjacency detail lookup: (router, neighbour) -> egress iface, next-hop
-     address; choose the lowest-cost egress on ties. *)
-  let edge_detail router neighbour area =
-    let candidates =
-      List.filter_map
-        (fun (a, b) ->
-          if a.router = router && b.router = neighbour && a.area = area then Some (a, b)
-          else if b.router = router && a.router = neighbour && b.area = area then
-            Some (b, a)
-          else None)
-        adjs
+  (* Seed: intra-area, once. *)
+  List.iter
+    (fun (prefix, origin, area, cost) ->
+      let prefix_s = Prefix.to_string prefix in
+      ignore (learn_via_area area origin prefix_s cost);
+      (* The originator itself reaches the prefix at its own cost —
+         recorded so ABRs can re-advertise subnets they are attached to. *)
+      ignore (update origin prefix_s cost None))
+    origins;
+  (* Propagate through ABRs: each round walks the entries set since the
+     previous round's snapshot. *)
+  let propagate () =
+    let delta =
+      Hashtbl.fold (fun k v acc -> if v.round = !round then (k, v) :: acc else acc) best []
     in
-    match List.sort (fun (a, _) (b, _) -> Int.compare a.cost b.cost) candidates with
-    | (mine, theirs) :: _ -> Some (mine.iface, Ifaddr.address theirs.addr)
-    | [] -> None
+    incr round;
+    List.fold_left
+      (fun changed ((r, prefix_s), l) ->
+        match areas_of r with
+        | _ :: _ :: _ as r_areas ->
+            let learned_area = Option.map snd l.via in
+            List.fold_left
+              (fun changed b ->
+                if learned_area <> Some b then
+                  learn_via_area b r prefix_s l.metric || changed
+                else changed)
+              changed r_areas
+        | _ -> changed)
+      false delta
+  in
+  let rec fixpoint n = if n > 0 && propagate () then fixpoint (n - 1) in
+  fixpoint 16;
+  (* Adjacency detail: (router, neighbour, area) -> egress iface and
+     next-hop address, the lowest-cost egress winning (the first adjacency
+     listed on ties). *)
+  let edge_details =
+    List.fold_left
+      (fun tbl (a, b) ->
+        let offer (mine, theirs) =
+          let key = (mine.router, theirs.router, mine.area) in
+          match Hashtbl.find_opt tbl key with
+          | Some (cur, _) when cur.cost <= mine.cost -> ()
+          | _ -> Hashtbl.replace tbl key (mine, theirs)
+        in
+        offer (a, b);
+        offer (b, a);
+        tbl)
+      (Hashtbl.create 64) adjs
+  in
+  let edge_detail router neighbour area =
+    Option.map
+      (fun (mine, theirs) -> (mine.iface, Ifaddr.address theirs.addr))
+      (Hashtbl.find_opt edge_details (router, neighbour, area))
   in
   let per_router = Hashtbl.create 16 in
   Hashtbl.iter

@@ -32,7 +32,20 @@ val adjacencies : Network.t -> L2.t -> (iface * iface) list
 
 val all_routes : Network.t -> L2.t -> (string * Fib.route list) list
 (** OSPF candidate routes for every router, computed in one pass (one SPF
-    fixpoint shared by all nodes); routers with no routes are omitted. *)
+    fixpoint shared by all nodes); routers with no routes are omitted.
+
+    The fixpoint keeps, per [(router, prefix string)] key, the best metric
+    and the neighbour it was learned through; among equal-metric offers the
+    first wins, so the result depends on the order of offers, which is the
+    [Hashtbl.fold] order of those keys (an unseeded table, whatever
+    [OCAMLRUNPARAM] says).  It is evaluated semi-naively: origins are
+    offered in round 1 only, and each later round re-advertises through
+    area border routers only the entries set since the previous round's
+    snapshot, in the same fold order.  This is exact — the routes and their
+    order are those of re-offering every entry every round — because an
+    offer replaces an entry only when it strictly lowers the metric: entries
+    only improve, so an unchanged entry would repeat offers that already
+    lost, and a rejected offer leaves the table untouched. *)
 
 val routes : Network.t -> L2.t -> string -> Fib.route list
 (** OSPF candidate routes for the given router. *)

@@ -106,6 +106,7 @@ module Scenarios = struct
   module Experiments = Heimdall_scenarios.Experiments
 end
 
-(** Mine the policy set of a network (config2spec stand-in). *)
-let mine_policies ?options network =
-  Heimdall_verify.Spec_miner.mine ?options (Heimdall_control.Dataplane.compute network)
+(** Mine the policy set of a network (config2spec stand-in), from the
+    engine's memoized dataplane of it. *)
+let mine_policies ~engine ?options network =
+  Heimdall_verify.Spec_miner.mine ?options (Heimdall_verify.Engine.dataplane engine network)

@@ -102,21 +102,39 @@ let shortest_paths src g =
 
 let shortest_path src dst g = Hashtbl.find_opt (shortest_paths src g) dst
 
+(* Edges flipped: BFS over it from [v] gives every vertex's hop count to
+   [v] along edge direction. *)
+let reverse g =
+  Smap.fold
+    (fun src es acc ->
+      List.fold_left
+        (fun acc e -> add_edge ~src:e.dst ~dst:src ~weight:e.weight ~label:e.label acc)
+        acc es)
+    g.adj
+    { adj = Smap.map (fun _ -> []) g.adj }
+
 let all_paths ?(max_len = 16) src dst g =
   let results = ref [] in
-  let rec go path visited u =
-    if List.length path > max_len then ()
-    else if u = dst then results := List.rev path :: !results
-    else
-      let next =
-        succs u g
-        |> List.filter (fun (v, _, _) -> not (List.mem v visited))
-        |> List.map (fun (v, _, _) -> v)
-        |> List.sort_uniq String.compare
-      in
-      List.iter (fun v -> go (v :: path) (v :: visited) v) next
+  let hops_to_dst = bfs dst (reverse g) in
+  (* [len] counts the vertices of [path]; any completion through [u] adds
+     at least [hops_to_dst u] more, so a branch that cannot finish within
+     [max_len] (or cannot reach [dst] at all) is cut here instead of being
+     walked to exhaustion.  The cut drops no path and keeps the order. *)
+  let rec go path len visited u =
+    match Hashtbl.find_opt hops_to_dst u with
+    | Some need when len + need <= max_len ->
+        if u = dst then results := List.rev path :: !results
+        else
+          let next =
+            succs u g
+            |> List.filter (fun (v, _, _) -> not (List.mem v visited))
+            |> List.map (fun (v, _, _) -> v)
+            |> List.sort_uniq String.compare
+          in
+          List.iter (fun v -> go (v :: path) (len + 1) (v :: visited) v) next
+    | _ -> ()
   in
-  if mem_vertex src g && mem_vertex dst g then go [ src ] [ src ] src;
+  if mem_vertex src g && mem_vertex dst g then go [ src ] 1 [ src ] src;
   List.rev !results
 
 let neighbors_within radius v g =

@@ -43,7 +43,15 @@ val shortest_path : string -> string -> 'e t -> (int * string list) option
 
 val all_paths : ?max_len:int -> string -> string -> 'e t -> string list list
 (** All simple paths from [src] to [dst], each of at most [max_len] vertices
-    (default 16).  Intended for small topology slices. *)
+    (default 16), in depth-first order with successors visited by name.
+
+    The search is pruned by a BFS from [dst] over predecessors (edge
+    direction matters: a forward BFS from [dst] is wrong on directed
+    graphs).  A branch at [u] whose path already has [len] vertices is cut
+    when [len + hops(u, dst) > max_len].  This is exact: the hop count
+    ignores the visited set, so it is a lower bound on what any simple
+    completion needs, and a cut branch holds no path within budget.  The
+    result — paths and order — is that of the unpruned search. *)
 
 val neighbors_within : int -> string -> 'e t -> string list
 (** Vertices within the given hop radius of a vertex, sorted. *)

@@ -172,7 +172,7 @@ let locked t f =
 
 (* Bump whenever the marshalled shape of [Dataplane.t] (or anything it
    contains) changes: a stale entry must read as a miss, not as garbage. *)
-let persist_magic = "heimdall-dpcache-3\n"
+let persist_magic = "heimdall-dpcache-4\n"
 
 let persist_path dir key = Filename.concat dir (Digest.to_hex key ^ ".dp")
 

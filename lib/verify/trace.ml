@@ -152,7 +152,7 @@ let trace dp (flow : Flow.t) =
                     let this_hop l2_path =
                       { node; in_iface; out_iface = Some out_iface; l2_path }
                     in
-                    match Network.owner_of_address towards net with
+                    match Dataplane.owner_of_address towards dp with
                     | None ->
                         let reason =
                           if route.next_hop = None then
@@ -176,7 +176,7 @@ let trace dp (flow : Flow.t) =
                           step peer_node (Some peer_iface) (this_hop seg :: acc) (ttl - 1)))
           end
   in
-  match Network.owner_of_address flow.src net with
+  match Dataplane.owner_of_address flow.src dp with
   | None -> Dropped (Unknown_source { addr = flow.src }, [])
   | Some (src_node, _) -> step src_node None [] max_ttl
 

@@ -46,8 +46,7 @@ let test_network_accessors () =
   checkb "unknown" true (Network.config "zz" net = None);
   checkb "kind" true (Network.kind "sw1" net = Some Topology.Switch);
   checkb "validate" true (Network.validate net = Ok ());
-  checkb "owner" true (Network.owner_of_address (ip "10.1.0.10") net = Some ("h1", "eth0"));
-  checkb "subnet" true (Network.subnet_of_address (ip "10.2.0.200") net = Some (pfx "10.2.0.0/24"))
+  checkb "owner" true (Network.owner_of_address (ip "10.1.0.10") net = Some ("h1", "eth0"))
 
 let test_network_restrict () =
   let net = triangle () in

@@ -415,13 +415,31 @@ let test_engine_persistent_cache () =
   let flow = Flow.icmp (ip "10.1.0.10") (ip "10.2.0.10") in
   checkb "loaded dataplane traces identically" true
     (Trace.trace dp1 flow = Trace.trace dp2 flow);
+  (* An entry written under the previous format version (before the
+     dataplane carried its address index) must read as a miss and be
+     rebuilt, even though its body is a well-formed marshalled value. *)
+  let with_entries f =
+    Array.iter
+      (fun name -> if Filename.check_suffix name ".dp" then f (Filename.concat dir name))
+      (Sys.readdir dir)
+  in
+  with_entries (fun path ->
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      let header = "heimdall-dpcache-4\n" in
+      checkb "entry carries the current header" true (String.starts_with ~prefix:header bytes);
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc "heimdall-dpcache-3\n";
+          Out_channel.output_string oc
+            (String.sub bytes (String.length header) (String.length bytes - String.length header))));
+  let e_stale = Engine.create ~domains:1 ~cache_dir:dir () in
+  let dp_stale = Engine.dataplane e_stale net in
+  checki "stale-version entry rebuilt" 1 (Engine.stats e_stale).Engine.dataplanes_built;
+  checki "stale-version entry not loaded" 0 (Engine.stats e_stale).Engine.dataplane_persistent_hits;
+  checkb "rebuilt dataplane traces identically" true
+    (Trace.trace dp1 flow = Trace.trace dp_stale flow);
   (* A corrupt cache entry must read as a miss, not an error. *)
-  Array.iter
-    (fun f ->
-      if Filename.check_suffix f ".dp" then
-        Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
-            Out_channel.output_string oc "garbage"))
-    (Sys.readdir dir);
+  with_entries (fun path ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "garbage"));
   let e3 = Engine.create ~domains:1 ~cache_dir:dir () in
   let dp3 = Engine.dataplane e3 net in
   checki "corrupt entry rebuilt" 1 (Engine.stats e3).Engine.dataplanes_built;
