@@ -130,9 +130,9 @@ let incident_endpoints engine net dp policies healthy_violated (failed : Topolog
   in
   match broken_policy with
   | Some p ->
-      let owner addr =
-        Option.map fst (Network.owner_of_address addr net)
-      in
+      (* [dp] is the failed network's: a failure only disables an
+         interface, so its address owners are those of [net]. *)
+      let owner addr = Option.map fst (Dataplane.owner_of_address addr dp) in
       List.filter_map owner [ p.flow.src; p.flow.dst ]
   | None -> (
       match Topology.peer failed (Network.topology net) with
