@@ -31,13 +31,22 @@ open Heimdall_scenarios
 
 (* ---------------- shared arguments ---------------- *)
 
+let is_fleet_spec s = String.length s > 6 && String.sub s 0 6 = "fleet:"
+
+let or_list names =
+  match List.rev names with
+  | last :: (_ :: _ as rest) -> String.concat ", " (List.rev rest) ^ " or " ^ last
+  | _ -> String.concat "" names
+
 (* The parsed value carries its scenario name (threaded through
    [Experiments.scenario]), so printing it back can never misreport —
-   no probing the network for well-known node names. *)
+   no probing the network for well-known node names.  A bad fleet:<spec>
+   reports the fleet parser's message, which [scenario_of_name] drops. *)
 let network_of_string s =
-  match Experiments.scenario_of_name s with
-  | Some sc -> Ok sc
-  | None ->
+  match (Experiments.scenario_of_name s, Fleetgen.spec_of_string s) with
+  | Some sc, _ -> Ok sc
+  | None, Error m when is_fleet_spec s -> Error ("bad fleet spec: " ^ m)
+  | None, _ ->
       Error
         (Printf.sprintf "unknown network %S (try %s)" s
            (String.concat " or " Experiments.scenario_names))
@@ -53,18 +62,24 @@ let network_arg =
   Arg.(
     required
     & pos 0 (some network_conv) None
-    & info [] ~docv:"NETWORK" ~doc:"Evaluation network: enterprise or university.")
+    & info [] ~docv:"NETWORK"
+        ~doc:"Evaluation network: enterprise, university or a generated fleet:<spec>.")
+
+let issue_names = "vlan, ospf or isp (fleet: misconfig, drift or overgrant)"
 
 let issue_arg n =
   Arg.(
     required
     & pos n (some string) None
-    & info [] ~docv:"ISSUE" ~doc:"Issue name: vlan, ospf or isp.")
+    & info [] ~docv:"ISSUE" ~doc:("Issue name: " ^ issue_names ^ "."))
 
 let find_issue (sc : Experiments.scenario) name =
   match List.find_opt (fun (i : Heimdall_msp.Issue.t) -> i.name = name) sc.issues with
   | Some i -> Ok i
-  | None -> Error (Printf.sprintf "unknown issue %S (try vlan, ospf or isp)" name)
+  | None ->
+      Error
+        (Printf.sprintf "unknown issue %S (try %s)" name
+           (or_list (List.map (fun (i : Heimdall_msp.Issue.t) -> i.name) sc.issues)))
 
 (* The grant Heimdall issues for a ticket: inject the issue, slice the
    twin around the ticket's endpoints and generate the privilege spec
@@ -250,7 +265,7 @@ let obs_cmd =
       value
       & pos 1 (some string) None
       & info [] ~docv:"ISSUE"
-          ~doc:"Issue to replay: vlan, ospf or isp (default: all three).")
+          ~doc:("Issue to replay: " ^ issue_names ^ "; default: all three."))
   in
   let prometheus_out_arg =
     Arg.(
@@ -590,8 +605,8 @@ let lint_target_arg =
     & pos 0 (some string) None
     & info [] ~docv:"NETWORK"
         ~doc:
-          "Evaluation network (enterprise or university) or a directory in the \
-           loader layout (see the export subcommand).")
+          "Evaluation network (enterprise, university or a generated fleet:<spec>) \
+           or a directory in the loader layout (see the export subcommand).")
 
 (* A scenario name analyses the network plus the privilege spec Heimdall
    would generate for each of its issues; a loader directory analyses
@@ -712,35 +727,12 @@ let seed_acl_defect net =
 (* Exact post-apply ACL delta of a replayed session: the union, over
    every (device, ACL) pair, of the packets the edits opened or closed.
    This is what the static plan analysis must over-approximate. *)
-let exact_session_delta before after =
-  let open Heimdall_config in
+let exact_session_delta em =
   List.fold_left
-    (fun acc node ->
-      let acls net =
-        match Network.config node net with
-        | Some (cfg : Ast.t) -> cfg.acls
-        | None -> []
-      in
-      let names =
-        List.sort_uniq String.compare
-          (List.map (fun (a : Acl.t) -> a.Acl.name) (acls before @ acls after))
-      in
-      List.fold_left
-        (fun acc name ->
-          let find net =
-            match Network.config node net with
-            | Some cfg -> Option.value (Ast.find_acl name cfg) ~default:(Acl.empty name)
-            | None -> Acl.empty name
-          in
-          let d =
-            Heimdall_sem.Acl_sem.diff ~before:(find before) ~after:(find after)
-          in
-          Packet_set.union acc
-            (Packet_set.union d.Heimdall_sem.Acl_sem.newly_permitted
-               d.Heimdall_sem.Acl_sem.newly_denied))
-        acc names)
+    (fun acc (_, _, (d : Heimdall_sem.Acl_sem.diff)) ->
+      Packet_set.union acc (Packet_set.union d.newly_permitted d.newly_denied))
     Packet_set.empty
-    (Network.node_names after)
+    (Heimdall_enforcer.Enforcer.session_acl_diffs em)
 
 let analyze_cmd =
   let open Heimdall_lint in
@@ -848,11 +840,7 @@ let analyze_cmd =
                     (Heimdall_sem.Plan_sem.plan_requirements ~network:broken script)
                 in
                 let changes = Heimdall_twin.Emulation.changes em in
-                let exact =
-                  exact_session_delta
-                    (Heimdall_twin.Emulation.baseline em)
-                    (Heimdall_twin.Emulation.network em)
-                in
+                let exact = exact_session_delta em in
                 let fails = [] in
                 let fails =
                   if Packet_set.subset exact analysis.Heimdall_sem.Plan_sem.delta
@@ -957,7 +945,7 @@ let resolve_policy_target target =
         exit 124
   in
   if Sys.file_exists target && not (Sys.is_directory target) then from_file target
-  else if String.length target > 6 && String.sub target 0 6 = "fleet:" then
+  else if is_fleet_spec target then
     match Fleetgen.spec_of_string target with
     | Error m ->
         prerr_endline ("heimdall: bad fleet spec: " ^ m);
@@ -1294,7 +1282,7 @@ let chaos_cmd =
       value
       & pos 1 (some string) None
       & info [] ~docv:"ISSUE"
-          ~doc:"Issue to run under faults: vlan, ospf or isp (default: all three).")
+          ~doc:("Issue to run under faults: " ^ issue_names ^ "; default: all three."))
   in
   let seed_arg =
     Arg.(

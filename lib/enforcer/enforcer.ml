@@ -62,10 +62,6 @@ let lint_delta ~engine emulation =
     (fun d -> not (List.exists (Diagnostic.equal d) baseline))
     current
 
-(* Semantic ACL diff of the session: for every ACL of every device, the
-   exact packet sets the edits opened and closed (empty diffs dropped).
-   An ACL missing on one side compares as the empty list — implicit
-   deny-all. *)
 let session_acl_diffs emulation =
   let open Heimdall_net in
   let before = Heimdall_twin.Emulation.baseline emulation in

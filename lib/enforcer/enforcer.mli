@@ -50,6 +50,13 @@ type outcome = {
 val default_enclave : Enclave.t
 (** The enforcer's enclave identity used when none is supplied. *)
 
+val session_acl_diffs :
+  Heimdall_twin.Emulation.t -> (string * string * Heimdall_sem.Acl_sem.diff) list
+(** Per (device, ACL name), the exact packets a twin session's edits
+    opened and closed, baseline against current network (empty diffs
+    dropped).  An ACL missing on one side compares as the empty list —
+    implicit deny-all.  [process] records these as [acl_diffs]. *)
+
 val process :
   ?enclave:Enclave.t ->
   engine:Engine.t ->

@@ -42,7 +42,7 @@ val sweep :
   engine:Engine.t ->
   production:Network.t -> policies:Policy.t list -> technique -> summary
 (** One technique over every failure candidate.  The points run across
-    the engine's domain pool and dataplanes/traces are memoized; the
+    the engine's domain pool and dataplanes are memoized; the
     prepare and evaluate passes share the one engine, so the caches the
     sweep warms serve its evaluation too.  Verdicts are identical for
     any domain count. *)

@@ -1,4 +1,3 @@
-open Heimdall_net
 open Heimdall_control
 
 (* ------------------------------------------------------------------ *)
@@ -50,39 +49,16 @@ let rec pool_worker pool seen =
     pool_worker pool seen
   end
 
-(* ------------------------------------------------------------------ *)
-(* Sharded, single-flight trace caches                                 *)
-(* ------------------------------------------------------------------ *)
-
-let shard_count = 8 (* power of two; indexed by flow hash *)
-
-type trace_entry =
-  | Computed of Trace.result
-  | In_flight  (* some domain is tracing this flow right now *)
-
-type shard = {
-  sm : Mutex.t;
-  sc : Condition.t;  (* an [In_flight] entry resolved (or was abandoned) *)
-  tbl : (Flow.t, trace_entry) Hashtbl.t;
-}
-
-(* Per-dataplane flow cache, matched by physical identity: dataplanes
-   come out of the digest cache, so equal networks share one value. *)
-type flow_cache = { dp : Dataplane.t; shards : shard array }
-
-(* The shared state of an engine: pool, caches and counters.  Every view
-   of one engine (see [scoped]) points at the same [core], so a view never
-   splits a cache or a counter from its parent. *)
+(* The shared state of an engine: pool, dataplane cache and counters.
+   Every view of one engine (see [scoped]) points at the same [core], so a
+   view never splits the cache or a counter from its parent. *)
 type core = {
   domains : int;
   cache_dir : string option;
   pool : pool option;  (* [Some] iff [domains > 1] *)
-  lock : Mutex.t;  (* guards dp_cache, flow_caches, phases, domains_used *)
+  lock : Mutex.t;  (* guards dp_cache, phases, domains_used *)
   dp_cache : (string, Dataplane.t) Hashtbl.t;  (* network digest -> dataplane *)
-  mutable flow_caches : flow_cache list;  (* most recently used first *)
   traces_run : int Atomic.t;
-  trace_hits : int Atomic.t;
-  trace_coalesced : int Atomic.t;
   dp_built : int Atomic.t;
   dp_incremental : int Atomic.t;
   dp_hits : int Atomic.t;
@@ -93,13 +69,6 @@ type core = {
 }
 
 type t = { core : core; obs : Heimdall_obs.Obs.t option }
-
-(* Sized so a full failure sweep (healthy dataplane + one per failure
-   candidate; ~104 on the university network) keeps every flow cache
-   alive: a repeated sweep then answers from cache instead of re-tracing
-   everything.  A flow cache is small (the distinct flows actually
-   traced), so this is cheap insurance. *)
-let max_flow_caches = 256
 
 let default_domains () = min 8 (max 1 (Domain.recommended_domain_count ()))
 
@@ -135,10 +104,7 @@ let create ?domains ?obs ?cache_dir () =
       pool = (if domains > 1 then Some (make_pool (domains - 1)) else None);
       lock = Mutex.create ();
       dp_cache = Hashtbl.create 64;
-      flow_caches = [];
       traces_run = Atomic.make 0;
-      trace_hits = Atomic.make 0;
-      trace_coalesced = Atomic.make 0;
       dp_built = Atomic.make 0;
       dp_incremental = Atomic.make 0;
       dp_hits = Atomic.make 0;
@@ -261,74 +227,14 @@ let dataplane_of_changes t ~production changes =
   | Error _ as e -> e
   | Ok net -> Ok (dataplane ~base:(dataplane t production) t net)
 
-(* ------------------------------------------------------------------ *)
-(* Memoized traces                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let rec take n = function
-  | [] -> []
-  | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
-
-let make_shards () =
-  Array.init shard_count (fun _ ->
-      { sm = Mutex.create (); sc = Condition.create (); tbl = Hashtbl.create 64 })
-
-(* Must be called under the lock. *)
-let flows_for t dp =
-  match List.find_opt (fun c -> c.dp == dp) t.core.flow_caches with
-  | Some c ->
-      t.core.flow_caches <- c :: List.filter (fun c' -> c' != c) t.core.flow_caches;
-      c.shards
-  | None ->
-      let c = { dp; shards = make_shards () } in
-      t.core.flow_caches <- c :: take (max_flow_caches - 1) t.core.flow_caches;
-      c.shards
-
+(* Traces are not memoized: repeats of one flow on one dataplane are a few
+   percent of the traces a ticket or sweep runs, too few to pay for the
+   locking a shared flow cache needs. *)
 let trace t dp flow =
-  let shards = locked t (fun () -> flows_for t dp) in
-  let sh = shards.(Hashtbl.hash flow land (shard_count - 1)) in
-  Mutex.lock sh.sm;
-  let rec resolve ~waited =
-    match Hashtbl.find_opt sh.tbl flow with
-    | Some (Computed r) ->
-        Mutex.unlock sh.sm;
-        if waited then begin
-          (* Single-flight: someone else computed this flow while we
-             waited — we reused their work instead of duplicating it. *)
-          Atomic.incr t.core.trace_coalesced;
-          Heimdall_obs.Obs.incr t.obs "engine.trace.coalesced"
-        end
-        else begin
-          Atomic.incr t.core.trace_hits;
-          Heimdall_obs.Obs.incr t.obs "engine.trace.cache_hit"
-        end;
-        r
-    | Some In_flight ->
-        Condition.wait sh.sc sh.sm;
-        resolve ~waited:true
-    | None ->
-        Hashtbl.replace sh.tbl flow In_flight;
-        Mutex.unlock sh.sm;
-        let r =
-          try Trace.trace dp flow
-          with e ->
-            (* Abandon the claim so waiters retry (and one of them takes
-               over the computation) instead of blocking forever. *)
-            Mutex.lock sh.sm;
-            Hashtbl.remove sh.tbl flow;
-            Condition.broadcast sh.sc;
-            Mutex.unlock sh.sm;
-            raise e
-        in
-        Atomic.incr t.core.traces_run;
-        Heimdall_obs.Obs.incr t.obs "engine.trace.run";
-        Mutex.lock sh.sm;
-        Hashtbl.replace sh.tbl flow (Computed r);
-        Condition.broadcast sh.sc;
-        Mutex.unlock sh.sm;
-        r
-  in
-  resolve ~waited:false
+  let r = Trace.trace dp flow in
+  Atomic.incr t.core.traces_run;
+  Heimdall_obs.Obs.incr t.obs "engine.trace.run";
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Parallel map                                                        *)
@@ -472,8 +378,8 @@ let phase t name f =
 
 type stats = {
   traces_run : int;
-  trace_cache_hits : int;
-  trace_coalesced : int;
+  trace_cache_hits : int;  (* always 0: traces are not memoized *)
+  trace_coalesced : int;  (* always 0 *)
   dataplanes_built : int;
   dataplanes_incremental : int;
   dataplane_cache_hits : int;
@@ -487,8 +393,8 @@ let stats t =
   locked t (fun () ->
       {
         traces_run = Atomic.get t.core.traces_run;
-        trace_cache_hits = Atomic.get t.core.trace_hits;
-        trace_coalesced = Atomic.get t.core.trace_coalesced;
+        trace_cache_hits = 0;
+        trace_coalesced = 0;
         dataplanes_built = Atomic.get t.core.dp_built;
         dataplanes_incremental = Atomic.get t.core.dp_incremental;
         dataplane_cache_hits = Atomic.get t.core.dp_hits;
@@ -501,8 +407,6 @@ let stats t =
 let reset_stats t =
   locked t (fun () ->
       Atomic.set t.core.traces_run 0;
-      Atomic.set t.core.trace_hits 0;
-      Atomic.set t.core.trace_coalesced 0;
       Atomic.set t.core.dp_built 0;
       Atomic.set t.core.dp_incremental 0;
       Atomic.set t.core.dp_hits 0;
@@ -510,11 +414,6 @@ let reset_stats t =
       Atomic.set t.core.spawn_fallbacks 0;
       t.core.domains_used <- 1;
       t.core.phases <- [])
-
-let trace_hit_rate s =
-  let total = s.trace_cache_hits + s.trace_coalesced + s.traces_run in
-  if total = 0 then 0.0
-  else float_of_int (s.trace_cache_hits + s.trace_coalesced) /. float_of_int total
 
 let runtime_sampler t () =
   let s = stats t in
@@ -526,7 +425,6 @@ let runtime_sampler t () =
   [
     ("engine.domains", float_of_int t.core.domains);
     ("engine.domains_used", float_of_int s.domains_used);
-    ("engine.trace.hit_rate", trace_hit_rate s);
     ("engine.dataplane.cache_hit_rate", dp_rate);
     ("engine.spawn_fallbacks", float_of_int s.spawn_fallbacks);
   ]
@@ -536,13 +434,10 @@ let stats_to_json s =
   Json.Obj
     [
       ("traces_run", Json.Int s.traces_run);
-      ("trace_cache_hits", Json.Int s.trace_cache_hits);
-      ("trace_coalesced", Json.Int s.trace_coalesced);
       ("dataplanes_built", Json.Int s.dataplanes_built);
       ("dataplanes_incremental", Json.Int s.dataplanes_incremental);
       ("dataplane_cache_hits", Json.Int s.dataplane_cache_hits);
       ("dataplane_persistent_hits", Json.Int s.dataplane_persistent_hits);
-      ("trace_hit_rate", Json.Float (trace_hit_rate s));
       ("domains_used", Json.Int s.domains_used);
       ("spawn_fallbacks", Json.Int s.spawn_fallbacks);
       ( "phase_seconds",
@@ -554,11 +449,9 @@ let render_stats s =
   Buffer.add_string buf
     (Printf.sprintf
        "engine: %d domains | dataplanes built %d (%d incremental, cache hits %d, \
-        persistent hits %d) | traces run %d (cache hits %d, coalesced %d, %.1f%% hit \
-        rate)\n"
+        persistent hits %d) | traces run %d\n"
        s.domains_used s.dataplanes_built s.dataplanes_incremental s.dataplane_cache_hits
-       s.dataplane_persistent_hits s.traces_run s.trace_cache_hits s.trace_coalesced
-       (100.0 *. trace_hit_rate s));
+       s.dataplane_persistent_hits s.traces_run);
   if s.spawn_fallbacks > 0 then
     Buffer.add_string buf
       (Printf.sprintf "  spawn fallbacks: %d (ran degraded on fewer domains)\n"

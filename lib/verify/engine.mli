@@ -1,5 +1,5 @@
-(** The verification engine: parallel, memoizing execution of policy
-    checks, reachability traces, and failure sweeps.
+(** The verification engine: parallel execution of policy checks,
+    reachability traces and failure sweeps over memoized dataplanes.
 
     The paper's evaluation re-verifies ~181 policies over hundreds of
     rebuilt dataplanes; done naively that is single-threaded and
@@ -19,10 +19,11 @@
       config digests of {!Heimdall_control.Network.digest}; passing
       [?base] reuses unchanged per-device work via
       {!Heimdall_control.Dataplane.recompute}; and with [?cache_dir] the
-      built dataplanes persist on disk across runs.  [trace] keeps a
-      sharded per-dataplane flow cache with single-flight misses, so
-      policies sharing a flow trace it once — even when they ask
-      concurrently.
+      built dataplanes persist on disk across runs.  Traces are not
+      memoized: [trace] runs {!Trace.trace} every time and counts it.
+      Repeats of one flow on one dataplane are a few percent of the
+      traces a ticket or a sweep runs, too few to pay for a shared flow
+      cache's locking.
 
     All entry points are safe to call from any domain.  An engine created
     with [~domains:1] never spawns, which keeps tier-1 tests
@@ -50,7 +51,6 @@ val create : ?domains:int -> ?obs:Heimdall_obs.Obs.t -> ?cache_dir:string -> uni
 
     With [?obs], the engine additionally streams its counters into the
     context's metrics registry ([engine.trace.run] /
-    [engine.trace.cache_hit] / [engine.trace.coalesced] /
     [engine.dataplane.built] / [engine.dataplane.cache_hit] /
     [engine.dataplane.persistent_hit], a [engine.dataplane.build_s]
     histogram, an [engine.domains_used] gauge) and wraps each {!phase}
@@ -72,8 +72,8 @@ val obs : t -> Heimdall_obs.Obs.t option
 val scoped : t -> (string * string) list -> t
 (** A view of the same engine whose context is
     {!Heimdall_obs.Obs.scoped} by the given labels (e.g. one per
-    replayed session).  The view shares the pool, the caches and the
-    counters with [t]; without a context it behaves exactly like [t].
+    replayed session).  The view shares the pool, the dataplane cache
+    and the counters with [t]; without a context it behaves exactly like [t].
     The engine's own metric series ([engine.dataplane.*],
     [engine.trace.*], [engine.map.*], [engine.phase_s]) recorded through
     the view carry its labels too, so they split per view. *)
@@ -88,8 +88,7 @@ val shutdown : t -> unit
 val dataplane : ?base:Dataplane.t -> t -> Network.t -> Dataplane.t
 (** Memoized dataplane computation: one build per structurally-distinct
     network, keyed by {!Heimdall_control.Network.digest}.  Repeated
-    calls with an equal network return the {e same} dataplane value, so
-    downstream trace caches are shared too.
+    calls with an equal network return the {e same} dataplane value.
 
     On a miss with [?base], the build runs
     {!Heimdall_control.Dataplane.recompute}[ ~base], which reuses the
@@ -107,11 +106,9 @@ val dataplane_of_changes :
     dataplane. *)
 
 val trace : t -> Dataplane.t -> Flow.t -> Trace.result
-(** Memoized {!Trace.trace}: a per-dataplane flow cache sharded across
-    independently-locked segments, so concurrent lookups of different
-    flows never contend.  Concurrent misses on the {e same} flow are
-    single-flight: one domain computes, the rest wait and reuse the
-    result (counted as [trace_coalesced]). *)
+(** {!Trace.trace}, counted: every call runs the trace and bumps the
+    [traces_run] stat and the [engine.trace.run] counter.  Safe to call
+    from any domain. *)
 
 val map : ?min_per_domain:int -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel map with deterministic result order.  [f] must be safe to
@@ -148,11 +145,12 @@ val phase : t -> string -> (unit -> 'a) -> 'a
 (** {1 Observability} *)
 
 type stats = {
-  traces_run : int;  (** Traces actually computed. *)
-  trace_cache_hits : int;  (** Traces answered from the flow cache. *)
+  traces_run : int;  (** Calls to {!trace}; every one runs. *)
+  trace_cache_hits : int;
+      (** Always 0: traces are not memoized.  Kept only because the
+          ticket benchmark ([ticketbench/workload.ml]) reads it. *)
   trace_coalesced : int;
-      (** Concurrent misses that waited for another domain's in-flight
-          trace instead of recomputing it. *)
+      (** Always 0, kept for the same reason as [trace_cache_hits]. *)
   dataplanes_built : int;  (** Dataplane computations (full or incremental). *)
   dataplanes_incremental : int;
       (** Subset of [dataplanes_built] that ran incrementally against a
@@ -172,10 +170,6 @@ val stats : t -> stats
 
 val reset_stats : t -> unit
 
-val trace_hit_rate : stats -> float
-(** (hits + coalesced) / (hits + coalesced + runs), in [0, 1]; 0 when no
-    traces ran. *)
-
 val stats_to_json : stats -> Heimdall_json.Json.t
 (** Machine-readable form, persisted by [bench/main.exe] into
     [bench/report.json]. *)
@@ -185,7 +179,7 @@ val render_stats : stats -> string
 
 val runtime_sampler : t -> unit -> (string * float) list
 (** A {!Heimdall_obs.Runtime.sampler} over this engine: gauges
-    [engine.domains], [engine.domains_used], [engine.trace.hit_rate],
+    [engine.domains], [engine.domains_used],
     [engine.dataplane.cache_hit_rate] (digest + persistent hits over all
     dataplane requests), and [engine.spawn_fallbacks].  Register it with
     [Runtime.add_sampler] so the exporter's [/metrics] page tracks the

@@ -91,8 +91,7 @@ let check_all ~engine dp policies =
   Heimdall_obs.Obs.span obs "policy.check_all"
     ~attrs:[ ("policies", string_of_int (List.length policies)) ]
     (fun () ->
-      (* Parallel fan-out; the per-dataplane flow cache means policies
-         sharing a flow trace it once. *)
+      (* Parallel fan-out, one trace per policy. *)
       let verdicts =
         Engine.map engine
           (fun p -> (p, verdict_of_trace p (Engine.trace engine dp p.flow)))

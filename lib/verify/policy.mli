@@ -44,8 +44,8 @@ type report = {
 }
 
 val check_all : engine:Engine.t -> Dataplane.t -> t list -> report
-(** Check every policy.  Checks fan out across the engine's domain pool
-    and traces are memoized; verdicts are identical at any domain count.
+(** Check every policy, one trace each.  Checks fan out across the
+    engine's domain pool; verdicts are identical at any domain count.
     With a context on the engine the check is a tracer span and feeds
     the [policy.checked] / [policy.violations] counters; instrumentation
     never changes the report. *)

@@ -12,8 +12,8 @@ type matrix
 
 val compute : engine:Engine.t -> Dataplane.t -> matrix
 (** One trace per ordered host pair.  The pairs fan out across the
-    engine's domain pool and traces are memoized; the matrix is
-    identical at any domain count.  With a context on the engine the
+    engine's domain pool; the matrix is identical at any domain
+    count.  With a context on the engine the
     computation is a tracer span with host/pair-count attributes. *)
 
 val reachable : src:string -> dst:string -> matrix -> bool option

@@ -246,7 +246,6 @@ let test_engine_reset_stats () =
   Engine.reset_stats engine;
   let s = Engine.stats engine in
   checki "traces cleared" 0 s.Engine.traces_run;
-  checki "trace hits cleared" 0 s.Engine.trace_cache_hits;
   checki "dataplanes cleared" 0 s.Engine.dataplanes_built;
   checki "dp hits cleared" 0 s.Engine.dataplane_cache_hits;
   checki "domains reset" 1 s.Engine.domains_used;

@@ -230,7 +230,6 @@ let test_sweep_engine_deterministic () =
   let par = Metrics.sweep ~engine ~production:net ~policies Metrics.Heimdall_twin in
   checkb "summaries byte-identical" true (seq = par);
   let stats = Heimdall_verify.Engine.stats engine in
-  checkb "trace cache hit" true (stats.Heimdall_verify.Engine.trace_cache_hits > 0);
   checkb "dataplanes built once per point" true
     (stats.Heimdall_verify.Engine.dataplanes_built
     = 1 + List.length (Metrics.failure_candidates net))

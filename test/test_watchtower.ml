@@ -329,10 +329,6 @@ let test_engine_runtime_sampler () =
   checkb "dataplane hit rate positive" true
     (match v "engine.dataplane.cache_hit_rate" with
     | Some r -> r > 0.0 && r <= 1.0
-    | None -> false);
-  checkb "trace hit rate bounded" true
-    (match v "engine.trace.hit_rate" with
-    | Some r -> r >= 0.0 && r <= 1.0
     | None -> false)
 
 (* ---------------- drift monitor ---------------- *)
