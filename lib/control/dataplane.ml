@@ -2,6 +2,7 @@ open Heimdall_net
 open Heimdall_config
 module Smap = Map.Make (String)
 module Amap = Map.Make (Ipv4)
+module Aset = Set.Make (Ipv4)
 
 type t = {
   network : Network.t;
@@ -224,6 +225,86 @@ let l3_neighbour t node addr =
           my_ifaces
       then Some (peer_node, peer_iface)
       else None
+
+(* ------------------------------------------------------------------ *)
+(* Delta: what a trace can read that differs                           *)
+(* ------------------------------------------------------------------ *)
+
+(* How much of a node a trace must distrust: all of it, or only FIB
+   lookups whose destination one of these prefixes covers. *)
+type dirt = Whole | Prefixes of Prefix.t list
+
+type delta = { dirty : dirt Smap.t; moved : Aset.t }
+
+let delta ~before ~after =
+  match Network.changed_devices before.network after.network with
+  | None -> None
+  | Some changed ->
+      let whole node dirty = Smap.add node Whole dirty in
+      (* (a) Config: ACLs, bindings, [owns_addr]. *)
+      let dirty = List.fold_left (fun d n -> whole n d) Smap.empty changed in
+      (* (b) L2: nodes whose endpoint's domain content changed. *)
+      let dirty =
+        if before.l2 == after.l2 then dirty
+        else
+          List.fold_left
+            (fun d (e : Topology.endpoint) -> whole e.node d)
+            dirty
+            (L2.changed_endpoints ~before:before.l2 ~after:after.l2)
+      in
+      (* (c) FIBs: the prefixes whose installed route changed. *)
+      let dirty =
+        Smap.fold
+          (fun node fa d ->
+            let fb = fib node before in
+            if fa == fb || Smap.find_opt node d = Some Whole then d
+            else
+              match Fib.changed_prefixes fb fa with
+              | [] -> d
+              | ps -> Smap.add node (Prefixes ps) d)
+          after.fibs dirty
+      in
+      (* (d) Addresses whose owner moved, and every node that forwards to
+         one of them as a next hop. *)
+      let moved =
+        if before.owners == after.owners then Aset.empty
+        else
+          let differs a o other =
+            match Amap.find_opt a other with Some o' -> o' <> o | None -> true
+          in
+          let add other a o acc = if differs a o other then Aset.add a acc else acc in
+          Amap.fold (add after.owners) before.owners Aset.empty
+          |> Amap.fold (add before.owners) after.owners
+      in
+      let dirty =
+        if Aset.is_empty moved then dirty
+        else
+          Smap.fold
+            (fun node fb d ->
+              if
+                List.exists
+                  (fun (r : Fib.route) ->
+                    match r.next_hop with Some nh -> Aset.mem nh moved | None -> false)
+                  (Fib.routes fb)
+              then whole node d
+              else d)
+            before.fibs dirty
+      in
+      Some { dirty; moved }
+
+let rec covers dst = function
+  | [] -> false
+  | p :: rest -> Prefix.contains p dst || covers dst rest
+
+(* Lookups raise rather than return an option: a trace asks this at every
+   hop of every pair, and the check must not allocate. *)
+let touches d node dst =
+  match Smap.find node d.dirty with
+  | Whole -> true
+  | Prefixes ps -> covers dst ps
+  | exception Not_found -> false
+
+let address_moved d addr = Aset.mem addr d.moved
 
 let route_counts t =
   Smap.bindings t.fibs |> List.map (fun (n, f) -> (n, Fib.route_count f))

@@ -54,6 +54,42 @@ val l3_neighbour : t -> string -> Ipv4.t -> (string * string) option
     given node can hand a packet for next-hop [addr] to: the owner of
     [addr] must share an L2 domain with one of [node]'s interfaces. *)
 
+(** {1 Delta}
+
+    A trace of a flow reads exactly these parts of a dataplane: the
+    owner of the flow's source in the address index; then, at each hop,
+    the node's config (ACLs, bindings and the addresses [owns_addr]
+    checks), its FIB's longest-prefix match for the destination, the
+    owner of the route's next hop (or of the destination, for a
+    connected route), and the L2 domain of the egress interface (the
+    endpoints it attaches, to find the peer, and the switches it
+    bridges).  A delta lists every such part that differs between two
+    dataplanes of one topology, so that a trace that reads none of them
+    is known to come out the same on both. *)
+
+type delta
+(** Everything a trace can read that changed:
+    - (a) devices whose config changed ({!Network.changed_devices});
+    - (b) nodes with an L3 endpoint whose L2 domain content (attached
+      endpoints plus bridging switches) changed — skipped when the L2
+      map is physically shared;
+    - (c) per node, the FIB prefixes whose installed route changed —
+      only FIBs that {!recompute} did not share physically are diffed;
+    - (d) addresses whose owner moved in the index, plus every node
+      whose FIB has a route with a next hop among them. *)
+
+val delta : before:t -> after:t -> delta option
+(** [None] when the topology or node set differs: then nothing can be
+    reused and every trace must be re-run. *)
+
+val touches : delta -> string -> Ipv4.t -> bool
+(** [touches d node dst]: a trace towards [dst] that visits [node] may
+    read something [d] changed there — [node] is in (a), (b) or (d), or
+    one of its changed prefixes covers [dst].  Allocates nothing. *)
+
+val address_moved : delta -> Ipv4.t -> bool
+(** The address's owner differs between the two index builds (d). *)
+
 val route_counts : t -> (string * int) list
 (** Installed route count per node (diagnostics / benches). *)
 

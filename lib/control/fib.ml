@@ -53,6 +53,7 @@ let of_candidates routes =
 let lookup addr t = Option.map snd (Prefix_trie.lookup addr t)
 let routes t = List.map snd (Prefix_trie.bindings t)
 let route_count t = Prefix_trie.cardinal t
+let changed_prefixes a b = Prefix_trie.diff ( = ) a b
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>";

@@ -37,4 +37,9 @@ val routes : t -> route list
 (** All installed routes in prefix order. *)
 
 val route_count : t -> int
+
+val changed_prefixes : t -> t -> Prefix.t list
+(** Prefixes whose installed route differs between two FIBs (installed
+    in one only, or a different route), in prefix order. *)
+
 val pp : Format.formatter -> t -> unit

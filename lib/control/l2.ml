@@ -205,3 +205,37 @@ let domains t =
       (id, sorted) :: acc)
     t.ifaces_by_domain []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let changed_endpoints ~before ~after =
+  (* What [same_domain] and [domain_switches] answer for an endpoint is a
+     function of its domain's content: the attached endpoints and the
+     bridging switches.  Ids differ between builds, so compare content,
+     once per (before id, after id) pair. *)
+  let content t id =
+    ( List.sort compare (Option.value (Hashtbl.find_opt t.ifaces_by_domain id) ~default:[]),
+      domain_switches id t )
+  in
+  let same = Hashtbl.create 16 in
+  let same_content idb ida =
+    match Hashtbl.find_opt same (idb, ida) with
+    | Some s -> s
+    | None ->
+        let s = content before idb = content after ida in
+        Hashtbl.replace same (idb, ida) s;
+        s
+  in
+  let changed = ref [] in
+  Hashtbl.iter
+    (fun idb eps ->
+      List.iter
+        (fun e ->
+          match domain_of e after with
+          | Some ida when same_content idb ida -> ()
+          | _ -> changed := e :: !changed)
+        eps)
+    before.ifaces_by_domain;
+  Hashtbl.iter
+    (fun _ eps ->
+      List.iter (fun e -> if domain_of e before = None then changed := e :: !changed) eps)
+    after.ifaces_by_domain;
+  List.sort_uniq compare !changed

@@ -28,3 +28,10 @@ val domain_switches : domain_id -> t -> string list
 
 val domains : t -> (domain_id * Topology.endpoint list) list
 (** All domains with their attached L3 interfaces (sorted). *)
+
+val changed_endpoints : before:t -> after:t -> Topology.endpoint list
+(** L3 endpoints (sorted) whose domain content — attached endpoints plus
+    bridging switches — differs between two builds over one topology,
+    including endpoints attached in one build only.  Every other
+    endpoint gets the same {!same_domain} and {!domain_switches}
+    answers from both. *)

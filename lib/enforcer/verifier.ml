@@ -53,10 +53,9 @@ let verify ~engine ~production ~policies ~privilege ~changes () =
             (* The shadow network differs from production only by the
                proposed change set: build its dataplane incrementally. *)
             let production_dp = Engine.dataplane engine production in
-            let before = Policy.check_all ~engine production_dp policies in
-            let after =
-              Policy.check_all ~engine
-                (Engine.dataplane ~base:production_dp engine shadow)
+            let before, after =
+              Policy.check_both ~engine ~before:production_dp
+                ~after:(Engine.dataplane ~base:production_dp engine shadow)
                 policies
             in
             let violated_before p =

@@ -52,7 +52,9 @@ val verify :
   unit ->
   outcome
 (** The production and shadow dataplanes come from the engine's memo
-    cache, and policy checks fan out through its domain pool.  With a
+    cache, and policy checks fan out through its domain pool in one
+    {!Policy.check_both} pass: a policy is traced again on the shadow
+    only when the change can reach its production path.  With a
     context on the engine the stage is traced as an [enforcer.verify]
     span and feeds the [enforcer.rejections] counter.  The outcome is
     identical either way. *)

@@ -12,7 +12,7 @@ type t = {
 
 let symptom_present ~engine t net =
   let open Heimdall_verify in
-  not (Trace.is_delivered (Trace.trace (Engine.dataplane engine net) t.probe))
+  not (Trace.is_delivered (Engine.trace engine (Engine.dataplane engine net) t.probe))
 
 let to_string t =
   Printf.sprintf "issue %s: %s (root cause: %s, %d-step fix)" t.name

@@ -17,6 +17,8 @@ type t = {
 
 val symptom_present : engine:Heimdall_verify.Engine.t -> t -> Network.t -> bool
 (** True when the probe flow does NOT get delivered (the issue shows).
-    The network's dataplane comes from the engine's memo cache. *)
+    The network's dataplane comes from the engine's memo cache, and the
+    probe is an {!Heimdall_verify.Engine.trace}, counted in
+    [engine.trace.run] like every other trace of a ticket. *)
 
 val to_string : t -> string

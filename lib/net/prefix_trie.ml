@@ -95,6 +95,29 @@ let fold f t acc =
   in
   go 0 0 t acc
 
+let diff eq a b =
+  let parts = function Leaf -> (None, Leaf, Leaf) | Node n -> (n.value, n.zero, n.one) in
+  (* Walk both tries in step; a physically shared subtrie (what an
+     incremental rebuild keeps) has no differences and is skipped. *)
+  let rec go depth bits a b acc =
+    if a == b then acc
+    else
+      let va, za, oa = parts a and vb, zb, ob = parts b in
+      (* Children first, this node last: the list is built back to
+         front, in [fold]'s order. *)
+      let acc =
+        if depth = 32 then acc
+        else
+          let acc = go (depth + 1) (bits lor (1 lsl (31 - depth))) oa ob acc in
+          go (depth + 1) bits za zb acc
+      in
+      match (va, vb) with
+      | None, None -> acc
+      | Some x, Some y when eq x y -> acc
+      | _ -> Prefix.make (Ipv4.of_int bits) depth :: acc
+  in
+  go 0 0 a b []
+
 let iter f t = fold (fun p v () -> f p v) t ()
 let bindings t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 let cardinal t = fold (fun _ _ n -> n + 1) t 0

@@ -27,6 +27,12 @@ val lookup : Ipv4.t -> 'a t -> (Prefix.t * 'a) option
 val fold : (Prefix.t -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
 (** Fold over all bindings, in increasing prefix order. *)
 
+val diff : ('a -> 'a -> bool) -> 'a t -> 'a t -> Prefix.t list
+(** [diff eq a b] lists, in increasing prefix order, every prefix bound
+    in one trie only or bound in both to values [eq] calls different.
+    Physically shared subtries are skipped, so diffing a trie against an
+    incremental rebuild of itself costs only the rebuilt part. *)
+
 val iter : (Prefix.t -> 'a -> unit) -> 'a t -> unit
 val bindings : 'a t -> (Prefix.t * 'a) list
 val cardinal : 'a t -> int

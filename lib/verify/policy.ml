@@ -82,9 +82,21 @@ let verdict_of_trace p (result : Trace.result) =
             Violated
               (Printf.sprintf "%s reaches %s without passing %s" p.src_label p.dst_label via))
 
-let check dp p = verdict_of_trace p (Trace.trace dp p.flow)
-
 type report = { total : int; violations : (t * string) list }
+
+(* The report of one set of verdicts, fed to the [policy.*] counters. *)
+let report obs verdicts =
+  let violations =
+    List.filter_map
+      (function _, Holds -> None | p, Violated reason -> Some (p, reason))
+      verdicts
+  in
+  let total = List.length verdicts and violated = List.length violations in
+  Heimdall_obs.Obs.incr obs ~by:(total - violated) ~labels:[ ("verdict", "holds") ]
+    "policy.checked";
+  Heimdall_obs.Obs.incr obs ~by:violated ~labels:[ ("verdict", "violated") ] "policy.checked";
+  Heimdall_obs.Obs.incr obs ~by:violated "policy.violations";
+  { total; violations }
 
 let check_all ~engine dp policies =
   let obs = Engine.obs engine in
@@ -92,25 +104,37 @@ let check_all ~engine dp policies =
     ~attrs:[ ("policies", string_of_int (List.length policies)) ]
     (fun () ->
       (* Parallel fan-out, one trace per policy. *)
+      let r =
+        report obs
+          (Engine.map engine
+             (fun p -> (p, verdict_of_trace p (Engine.trace engine dp p.flow)))
+             policies)
+      in
+      Heimdall_obs.Obs.add_attr obs "violations" (string_of_int (List.length r.violations));
+      r)
+
+let check_both ~engine ~before ~after policies =
+  let obs = Engine.obs engine in
+  Heimdall_obs.Obs.span obs "policy.check_both"
+    ~attrs:[ ("policies", string_of_int (List.length policies)) ]
+    (fun () ->
+      let delta = Heimdall_control.Dataplane.delta ~before ~after in
       let verdicts =
         Engine.map engine
-          (fun p -> (p, verdict_of_trace p (Engine.trace engine dp p.flow)))
+          (fun p ->
+            let r = Engine.trace engine before p.flow in
+            let was = verdict_of_trace p r in
+            match delta with
+            | Some d when Trace.unaffected d p.flow r -> (p, was, was, false)
+            | _ -> (p, was, verdict_of_trace p (Engine.trace engine after p.flow), true))
           policies
       in
-      let violations =
-        List.filter_map
-          (function _, Holds -> None | p, Violated reason -> Some (p, reason))
-          verdicts
-      in
-      Heimdall_obs.Obs.add_attr obs "violations"
-        (string_of_int (List.length violations));
-      let violated = List.length violations in
-      Heimdall_obs.Obs.incr obs
-        ~by:(List.length policies - violated)
-        ~labels:[ ("verdict", "holds") ] "policy.checked";
-      Heimdall_obs.Obs.incr obs ~by:violated ~labels:[ ("verdict", "violated") ]
-        "policy.checked";
-      Heimdall_obs.Obs.incr obs ~by:violated "policy.violations";
-      { total = List.length policies; violations })
+      let retraced = List.length (List.filter (fun (_, _, _, r) -> r) verdicts) in
+      let before = report obs (List.map (fun (p, v, _, _) -> (p, v)) verdicts) in
+      let after = report obs (List.map (fun (p, _, v, _) -> (p, v)) verdicts) in
+      Heimdall_obs.Obs.add_attr obs "retraced" (string_of_int retraced);
+      Heimdall_obs.Obs.add_attr obs "violations" (string_of_int (List.length after.violations));
+      Heimdall_obs.Obs.incr obs ~by:retraced "policy.retraced";
+      (before, after))
 
 let holds_all ~engine dp policies = (check_all ~engine dp policies).violations = []

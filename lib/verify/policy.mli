@@ -31,12 +31,8 @@ val equal : t -> t -> bool
 type verdict = Holds | Violated of string
 (** [Violated reason] carries a human-readable explanation. *)
 
-val check : Dataplane.t -> t -> verdict
-(** Evaluate one policy against a dataplane. *)
-
 val verdict_of_trace : t -> Trace.result -> verdict
-(** Judge a policy against an already-computed trace of its flow (how
-    the {!Engine} avoids re-tracing shared flows). *)
+(** Judge a policy against a trace of its flow. *)
 
 type report = {
   total : int;
@@ -49,5 +45,17 @@ val check_all : engine:Engine.t -> Dataplane.t -> t list -> report
     With a context on the engine the check is a tracer span and feeds
     the [policy.checked] / [policy.violations] counters; instrumentation
     never changes the report. *)
+
+val check_both :
+  engine:Engine.t -> before:Dataplane.t -> after:Dataplane.t -> t list -> report * report
+(** [check_both ~engine ~before ~after policies] is
+    [(check_all ~engine before policies, check_all ~engine after policies)]
+    in one pass: each policy's flow is traced on [before], and traced
+    again on [after] only when {!Trace.unaffected} cannot rule out that
+    the change reaches its path (always, when {!Dataplane.delta} is
+    [None]); otherwise the [before] verdict stands for both.  A
+    [policy.check_both] span with [policies]/[retraced]/[violations]
+    (after) attributes and a [policy.retraced] counter; the
+    [policy.checked]/[policy.violations] counters see both reports. *)
 
 val holds_all : engine:Engine.t -> Dataplane.t -> t list -> bool

@@ -36,5 +36,20 @@ val impact_to_string : impact -> string
 (** ["no reachability change"] or a +/- listing. *)
 
 val impact : engine:Engine.t -> production:Network.t -> Network.t -> impact
-(** [impact ~engine ~production updated]: both matrices around a change,
-    with [updated]'s dataplane built incrementally on production's. *)
+(** [impact ~engine ~production updated] is [diff] of the two matrices
+    around a change, with [updated]'s dataplane built incrementally on
+    production's, computed in one pass that re-traces only what the
+    change can reach.
+
+    Exactness rule: a trace reads only the source's owner and, per hop,
+    the node's config, its FIB match for the destination, the owner of
+    the next hop and the egress L2 domain ({!Dataplane.delta}).  So each
+    pair is traced on production, and traced on [updated] only when
+    {!Trace.unaffected} fails; otherwise the production trace is the
+    [updated] trace and its delivered bit stands for both.  When the
+    delta is [None] (topology or node set changed) or the addressed
+    hosts differ, both matrices are computed in full.
+
+    A [reachability.impact] span with [pairs] (host pairs of production)
+    and [retraced] (pairs traced on [updated]) attributes, and a
+    [reachability.pairs_retraced] counter. *)

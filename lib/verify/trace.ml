@@ -180,6 +180,23 @@ let trace dp (flow : Flow.t) =
   | None -> Dropped (Unknown_source { addr = flow.src }, [])
   | Some (src_node, _) -> step src_node None [] max_ttl
 
+(* Plain recursion, no closures: this runs once per pair of every
+   delta-scoped pass, and must not allocate. *)
+let unaffected delta (flow : Flow.t) result =
+  let dst = flow.dst in
+  let rec switches_clean = function
+    | [] -> true
+    | sw :: rest -> (not (Dataplane.touches delta sw dst)) && switches_clean rest
+  in
+  let rec clean = function
+    | [] -> true
+    | h :: rest ->
+        (not (Dataplane.touches delta h.node dst)) && switches_clean h.l2_path && clean rest
+  in
+  (not (Dataplane.address_moved delta flow.src))
+  && (not (Dataplane.address_moved delta dst))
+  && clean (hops result)
+
 let result_to_string result =
   let buf = Buffer.create 256 in
   List.iteri

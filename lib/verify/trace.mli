@@ -50,5 +50,14 @@ val trace : Dataplane.t -> Flow.t -> result
     interface and inbound on each ingress interface; hosts originate and
     receive but do not forward. *)
 
+val unaffected : Dataplane.delta -> Flow.t -> result -> bool
+(** [unaffected d flow r], where [r = trace before flow] and
+    [Some d = Dataplane.delta ~before ~after]: no hop of [r] (node or
+    [l2_path] switch) is touched by [d] for [flow.dst]
+    ({!Dataplane.touches}), and neither [flow.src] nor [flow.dst] moved
+    owner.  Then [trace after flow = r] structurally, because [trace]
+    reads nothing else (see {!Dataplane.delta}); a [false] only means
+    the trace must be re-run.  Allocates nothing. *)
+
 val result_to_string : result -> string
 (** Multi-line traceroute-style rendering. *)

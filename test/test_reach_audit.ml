@@ -88,6 +88,80 @@ let test_enforcer_reports_impact () =
       | None -> Alcotest.fail "no impact on approved outcome")
   | None -> Alcotest.fail "no outcome"
 
+(* ---------------- Delta-scoped impact ---------------- *)
+
+(* What [Reachability.impact] must equal: [diff] of two full matrices. *)
+let full_impact production updated =
+  let engine = Engine.create ~domains:1 () in
+  Reachability.diff
+    ~before:(Reachability.compute ~engine (Dataplane.compute production))
+    ~after:(Reachability.compute ~engine (Dataplane.compute updated))
+
+(* The impact on a fresh engine, with the traces it ran. *)
+let counted_impact production updated =
+  let engine = Engine.create ~domains:1 () in
+  let i = Reachability.impact ~engine ~production updated in
+  (i, (Engine.stats engine).Engine.traces_run)
+
+let srv_permit =
+  Change.v "r8"
+    (Change.Acl_set_rule
+       {
+         acl = "SRV_PROT";
+         rule =
+           Acl.rule ~seq:5 Acl.Permit (Prefix.of_string "10.1.10.0/24")
+             (Prefix.of_string "10.3.10.0/24");
+       })
+
+let test_delta_acl_change () =
+  let net, policies = Lazy.force fixture in
+  let updated = Result.get_ok (Network.apply_changes [ srv_permit ] net) in
+  let i, traces = counted_impact net updated in
+  checkb "impact = full diff" true (i = full_impact net updated);
+  checki "four pairs gained" 4 (List.length i.Reachability.gained);
+  (* 72 pairs traced on production; only those through r8 again.  Two
+     full matrices would be 144 traces. *)
+  checkb "fewer than two matrices" true (traces < 2 * 72);
+  checkb "production matrix traced" true (traces > 72);
+  let before = Dataplane.compute net and after = Dataplane.compute updated in
+  checkb "check_both = two check_all" true
+    (Policy.check_both ~engine ~before ~after policies
+    = (Policy.check_all ~engine before policies, Policy.check_all ~engine after policies))
+
+let test_delta_moved_address () =
+  let net, _ = Lazy.force fixture in
+  (* r4 (first by name) takes r8's SVI address, the default gateway of h8
+     and h9: the owner of 10.3.10.1 moves.  h8's path to h3 never visits
+     r4, so only branch (d) — nodes forwarding to a moved next hop — marks
+     it for re-tracing. *)
+  let gw = Ipv4.of_string "10.3.10.1" in
+  let r4 = Network.config_exn "r4" net in
+  let updated =
+    Network.with_config "r4"
+      (Ast.update_interface (Ast.interface ~addr:(Ifaddr.of_string "10.3.10.1/32") "lo9") r4)
+      net
+  in
+  let before = Dataplane.compute net in
+  let after = Dataplane.recompute ~base:before updated in
+  (match Dataplane.delta ~before ~after with
+  | Some d ->
+      checkb "gateway moved" true (Dataplane.address_moved d gw);
+      checkb "h8 forwards to it" true (Dataplane.touches d "h8" (Ipv4.of_string "10.1.20.11"))
+  | None -> Alcotest.fail "same topology, delta expected");
+  let i, _ = counted_impact net updated in
+  checkb "impact = full diff" true (i = full_impact net updated);
+  checkb "h8 -> h3 lost" true (List.mem ("h8", "h3") i.Reachability.lost)
+
+let test_delta_node_set_change () =
+  let net, _ = Lazy.force fixture in
+  let updated = Network.restrict (List.filter (( <> ) "h9") (Network.node_names net)) net in
+  checkb "no delta" true
+    (Dataplane.delta ~before:(Dataplane.compute net) ~after:(Dataplane.compute updated) = None);
+  let i, traces = counted_impact net updated in
+  checkb "impact = full diff" true (i = full_impact net updated);
+  (* The fallback: both matrices, 9 hosts then 8. *)
+  checki "two full matrices" (72 + 56) traces
+
 (* ---------------- Audit persistence ---------------- *)
 
 let sample_audit () =
@@ -165,6 +239,9 @@ let suite =
     Alcotest.test_case "impact identity" `Quick test_impact_none_on_identity;
     Alcotest.test_case "impact loss and gain" `Quick test_impact_detects_loss_and_gain;
     Alcotest.test_case "enforcer reports impact" `Quick test_enforcer_reports_impact;
+    Alcotest.test_case "delta impact acl change" `Quick test_delta_acl_change;
+    Alcotest.test_case "delta impact moved address" `Quick test_delta_moved_address;
+    Alcotest.test_case "delta impact node set change" `Quick test_delta_node_set_change;
     Alcotest.test_case "audit export/import" `Quick test_audit_export_import;
     Alcotest.test_case "audit import rejects tampering" `Quick
       test_audit_import_rejects_tampering;

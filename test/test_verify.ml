@@ -142,6 +142,9 @@ let test_trace_ttl_loop () =
 
 (* ---------------- Policy ---------------- *)
 
+(* One policy judged on one trace of its flow, outside any engine. *)
+let verdict dp (p : Policy.t) = Policy.verdict_of_trace p (Trace.trace dp p.flow)
+
 let test_policy_check () =
   let net = triangle () in
   let dp = Dataplane.compute net in
@@ -151,9 +154,9 @@ let test_policy_check () =
   let isolated =
     Policy.isolated ~src_label:"h1" ~dst_label:"h2" (Flow.icmp (ip "10.1.0.10") (ip "10.2.0.10"))
   in
-  checkb "reach holds" true (Policy.check dp reach = Policy.Holds);
+  checkb "reach holds" true (verdict dp reach = Policy.Holds);
   checkb "isolated violated" true
-    (match Policy.check dp isolated with Policy.Violated _ -> true | Policy.Holds -> false)
+    (match verdict dp isolated with Policy.Violated _ -> true | Policy.Holds -> false)
 
 let test_policy_waypoint () =
   let net = triangle () in
@@ -162,13 +165,13 @@ let test_policy_waypoint () =
     Policy.waypoint ~src_label:"h1" ~dst_label:"h2" ~via:"r3"
       (Flow.icmp (ip "10.1.0.10") (ip "10.2.0.10"))
   in
-  checkb "via r3 holds" true (Policy.check dp via_r3 = Policy.Holds);
+  checkb "via r3 holds" true (verdict dp via_r3 = Policy.Holds);
   let via_sw =
     Policy.waypoint ~src_label:"h1" ~dst_label:"h2" ~via:"sw1"
       (Flow.icmp (ip "10.1.0.10") (ip "10.2.0.10"))
   in
   checkb "via sw1 violated" true
-    (match Policy.check dp via_sw with Policy.Violated _ -> true | Policy.Holds -> false)
+    (match verdict dp via_sw with Policy.Violated _ -> true | Policy.Holds -> false)
 
 let test_policy_check_all () =
   let net = triangle () in
@@ -266,7 +269,7 @@ let test_engine_check_all_matches_sequential () =
      1-domain engine and a 4-domain engine must both agree with it. *)
   let reference =
     List.filter_map
-      (fun p -> match Policy.check dp p with Policy.Holds -> None | Violated r -> Some (p, r))
+      (fun p -> match verdict dp p with Policy.Holds -> None | Violated r -> Some (p, r))
       policies
   in
   let seq = Policy.check_all ~engine dp policies in
