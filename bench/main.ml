@@ -3,12 +3,9 @@
    computational kernels behind each one with Bechamel.
 
    Usage:
-     dune exec bench/main.exe            # all reports + micro-benchmarks
-     dune exec bench/main.exe -- table1  # one artifact
-     dune exec bench/main.exe -- fig7 | fig8 | fig9 | engine | lint
-                                 | sem | ablation-verify | ablation-slicer
-                                 | ablation-audit | containment | chaos
-                                 | scale | poltree | obs | micro *)
+     dune exec bench/main.exe             # all reports + micro-benchmarks
+     dune exec bench/main.exe -- NAME...  # the named reports ([reports]
+                                          # below; a bad name lists them) *)
 
 open Bechamel
 open Toolkit
@@ -21,8 +18,8 @@ open Heimdall_scenarios
 let report_path = "bench/report.json"
 
 (* Read-merge-write by top-level key: each report section owns one key
-   in bench/report.json, so running `bench lint` no longer clobbers the
-   engine section written by a previous `bench engine` (and vice versa).
+   in bench/report.json, so running `bench sem` never clobbers the engine
+   section written by a previous `bench engine` (and vice versa).
    An unreadable or malformed existing file degrades to a fresh one. *)
 let persist_report ~key json =
   let open Heimdall_json in
@@ -59,48 +56,41 @@ let report_table1 () =
   print_string (Experiments.render_table1 (Experiments.table1 ()));
   print_newline ()
 
-let report_fig7 () =
-  print_string "== Figure 7: time to solve three real issues (enterprise) ==\n";
-  let cells = Experiments.fig7 ~engine:(fresh_engine ()) () in
+let report_fig7 network () =
+  (match network with
+  | `Enterprise ->
+      print_string "== Figure 7: time to solve three real issues (enterprise) ==\n"
+  | `University ->
+      print_string
+        "== Figure 7 (university variant; the paper omits it \"due to similarity\") ==\n");
+  let cells = Experiments.fig7 ~engine:(fresh_engine ()) ~network () in
   print_string (Experiments.render_fig7 cells);
+  let overheads = Experiments.fig7_overhead cells in
   List.iter
     (fun (issue, o) -> Printf.printf "Heimdall overhead on %s: +%.1f s\n" issue o)
-    (Experiments.fig7_overhead cells);
-  let overheads = List.map snd (Experiments.fig7_overhead cells) in
-  Printf.printf "average overhead: +%.1f s (paper: +28 s)\n\n"
-    (List.fold_left ( +. ) 0.0 overheads /. float_of_int (List.length overheads))
-
-let report_fig7_university () =
-  print_string
-    "== Figure 7 (university variant; the paper omits it \"due to similarity\") ==\n";
-  let cells = Experiments.fig7 ~engine:(fresh_engine ()) ~network:`University () in
-  print_string (Experiments.render_fig7 cells);
-  List.iter
-    (fun (issue, o) -> Printf.printf "Heimdall overhead on %s: +%.1f s\n" issue o)
-    (Experiments.fig7_overhead cells);
+    overheads;
+  if network = `Enterprise then
+    Printf.printf "average overhead: +%.1f s (paper: +28 s)\n"
+      (List.fold_left (fun acc (_, o) -> acc +. o) 0.0 overheads
+      /. float_of_int (List.length overheads));
   print_newline ()
 
-let report_fig8 () =
-  print_string "== Figure 8: feasibility and attack surface (enterprise) ==\n";
+let report_sweep ~title sweep () =
+  print_string ("== " ^ title ^ " ==\n");
   let engine = Heimdall_verify.Engine.create () in
   print_string
     (Experiments.render_sweep ~title:"bring down each interface; All vs Neighbor vs Heimdall"
-       (Experiments.fig8 ~engine ()));
+       (sweep ~engine ()));
   print_string (Heimdall_verify.Engine.render_stats (Heimdall_verify.Engine.stats engine));
   print_newline ()
 
-let report_fig9 () =
-  print_string "== Figure 9: feasibility and attack surface (university) ==\n";
-  let engine = Heimdall_verify.Engine.create () in
-  print_string
-    (Experiments.render_sweep ~title:"bring down each interface; All vs Neighbor vs Heimdall"
-       (Experiments.fig9 ~engine ()));
-  print_string (Heimdall_verify.Engine.render_stats (Heimdall_verify.Engine.stats engine));
-  print_newline ()
-
-(* Set by [report_engine] when its pass/fail gate trips; the entry point
-   turns it into a non-zero exit so `make bench-smoke` (and CI) fail. *)
+(* Set when a report's gate trips; the entry point turns it into a
+   non-zero exit so the smoke targets (and CI) fail. *)
 let gate_failed = ref false
+
+let gate name passed =
+  Printf.printf "%s gate: %s\n" name (if passed then "PASS" else "FAIL");
+  if not passed then gate_failed := true
 
 (* Run [f dir] in a fresh temporary directory, removed with its contents
    afterwards, also when [f] raises. *)
@@ -115,6 +105,29 @@ let with_temp_dir prefix f =
   in
   Fun.protect ~finally:(fun () -> remove dir) (fun () -> f dir)
 
+(* The N of every 1-vs-N comparison: at least 2, so the parallel path
+   runs even on a 1-core host (where no speedup can be expected). *)
+let n_domains = max 2 (Heimdall_verify.Engine.default_domains ())
+
+(* [f] on a fresh engine of [domains], shut down afterwards. *)
+let with_engine ?obs ?cache_dir domains f =
+  let engine = Heimdall_verify.Engine.create ~domains ?obs ?cache_dir () in
+  Fun.protect
+    ~finally:(fun () -> Heimdall_verify.Engine.shutdown engine)
+    (fun () -> f engine)
+
+type 'a pair = { one : 'a; wall_1 : float; n : 'a; wall_n : float; identical : bool }
+
+(* Run and time [f] at 1 domain and at [n_domains], each on a fresh
+   engine, and compare the two results with [equal]. *)
+let one_vs_n ~equal f =
+  let run domains =
+    with_engine domains (fun e -> Heimdall_obs.Clock.elapsed (fun () -> f e))
+  in
+  let one, wall_1 = run 1 in
+  let n, wall_n = run n_domains in
+  { one; wall_1; n; wall_n; identical = equal one n }
+
 let report_engine () =
   let open Heimdall_verify in
   print_string "== Verify engine: 1-domain vs N-domain university sweep ==\n";
@@ -125,7 +138,7 @@ let report_engine () =
      engine is shut down so its helper domains don't linger. *)
   let run ?cache_dir domains =
     let obs = Heimdall_obs.Obs.create () in
-    let engine = Engine.create ~domains ~obs ?cache_dir () in
+    with_engine ~obs ?cache_dir domains @@ fun engine ->
     let cold_s, cold =
       Heimdall_obs.Clock.elapsed (fun () ->
           Metrics.sweep_all ~engine ~production:net ~policies ())
@@ -134,14 +147,10 @@ let report_engine () =
       Heimdall_obs.Clock.elapsed (fun () ->
           Metrics.sweep_all ~engine ~production:net ~policies ())
     in
-    let stats = Engine.stats engine in
-    Engine.shutdown engine;
-    (cold_s, warm_s, cold, warm, stats, obs)
+    (cold_s, warm_s, cold, warm, Engine.stats engine, obs)
   in
   let s1, s1w, cold1, warm1, stats1, _ = run ~cache_dir 1 in
-  (* At least 2 so the parallel path is exercised even on a 1-core host
-     (where no speedup can be expected). *)
-  let n = max 2 (Engine.default_domains ()) in
+  let n = n_domains in
   let sn, snw, coldn, warmn, statsn, obsn = run n in
   (* A fresh engine pointed at the populated on-disk cache must answer
      every dataplane from disk — zero builds. *)
@@ -172,8 +181,7 @@ let report_engine () =
   if single_core && not speedup_ok then
     Printf.printf "speedup gate skipped: single-core host (%.2fx measured)\n" speedup
   else Printf.printf "N-domain speedup > 1.0: %b (%.2fx)\n" speedup_ok speedup;
-  Printf.printf "engine gate: %s\n" (if passed then "PASS" else "FAIL");
-  if not passed then gate_failed := true;
+  gate "engine" passed;
   let open Heimdall_json in
   persist_report ~key:"engine"
     (Json.Obj
@@ -203,50 +211,8 @@ let report_engine () =
        ]);
   print_newline ()
 
-let report_lint () =
-  print_string "== Lint: static-analysis wall time (1 domain vs N domains) ==\n";
-  let n = max 2 (Heimdall_verify.Engine.default_domains ()) in
-  let measure name net =
-    let run domains =
-      let engine = Heimdall_verify.Engine.create ~domains () in
-      Heimdall_obs.Clock.elapsed (fun () ->
-          Heimdall_lint.Lint.check_network ~engine net)
-    in
-    let f1, t1 = run 1 in
-    let fn, tn = run n in
-    Printf.printf
-      "  %-10s %d findings; 1 domain: %.4f s; %d domains: %.4f s; identical: %b\n"
-      name (List.length f1) t1 n tn
-      (List.equal Heimdall_lint.Diagnostic.equal f1 fn);
-    (name, List.length f1, t1, tn)
-  in
-  let enterprise = measure "enterprise" (fst (Experiments.enterprise ())) in
-  let university = measure "university" (fst (Experiments.university ())) in
-  let rows = [ enterprise; university ] in
-  (* Persist into the JSON perf report so the trajectory accrues per run. *)
-  let open Heimdall_json in
-  persist_report ~key:"lint"
-    (Json.Obj
-       [
-         ("domains", Json.Int n);
-         ( "networks",
-           Json.List
-             (List.map
-                (fun (name, findings, t1, tn) ->
-                  Json.Obj
-                    [
-                      ("network", Json.String name);
-                      ("findings", Json.Int findings);
-                      ("wall_s_1_domain", Json.Float t1);
-                      ("wall_s_n_domains", Json.Float tn);
-                    ])
-                rows) );
-       ]);
-  print_newline ()
-
 let report_sem () =
   print_string "== Semantic analysis: packet-set algebra + network-wide pass ==\n";
-  let n = max 2 (Heimdall_verify.Engine.default_domains ()) in
   let measure name net =
     let open Heimdall_control in
     let acls =
@@ -272,20 +238,16 @@ let report_sem () =
     in
     (* Whole-network semantic pass through the engine fan-out, 1 domain
        vs N — the report must be byte-identical across domain counts. *)
-    let run domains =
-      let engine = Heimdall_verify.Engine.create ~domains () in
-      Heimdall_obs.Clock.elapsed (fun () ->
+    let pass =
+      one_vs_n ~equal:(List.equal Heimdall_lint.Diagnostic.equal) (fun engine ->
           Heimdall_lint.Lint.check_network ~engine net)
     in
-    let f1, t1 = run 1 in
-    let fn, tn = run n in
-    let identical = List.equal Heimdall_lint.Diagnostic.equal f1 fn in
     Printf.printf
       "  %-10s %d ACLs / %d rules -> %d cubes; permit-sets %.4f s; dead-rules %.4f s\n"
       name (List.length acls) rules cubes t_permit t_dead;
     Printf.printf
-      "  %-10s network pass: 1 domain %.4f s; %d domains %.4f s; identical: %b\n"
-      name t1 n tn identical;
+      "  %-10s network pass: %d findings; 1 domain %.4f s; %d domains %.4f s; identical: %b\n"
+      name (List.length pass.one) pass.wall_1 n_domains pass.wall_n pass.identical;
     let open Heimdall_json in
     Json.Obj
       [
@@ -293,11 +255,12 @@ let report_sem () =
         ("acls", Json.Int (List.length acls));
         ("rules", Json.Int rules);
         ("permit_set_cubes", Json.Int cubes);
+        ("findings", Json.Int (List.length pass.one));
         ("wall_s_permit_sets", Json.Float t_permit);
         ("wall_s_dead_rules", Json.Float t_dead);
-        ("wall_s_pass_1_domain", Json.Float t1);
-        ("wall_s_pass_n_domains", Json.Float tn);
-        ("identical_across_domains", Json.Bool identical);
+        ("wall_s_pass_1_domain", Json.Float pass.wall_1);
+        ("wall_s_pass_n_domains", Json.Float pass.wall_n);
+        ("identical_across_domains", Json.Bool pass.identical);
       ]
   in
   let enterprise = measure "enterprise" (fst (Experiments.enterprise ())) in
@@ -308,124 +271,47 @@ let report_sem () =
      many tickets the predicted delta contains the exact replay diff. *)
   print_string "== Plan analysis: static pre-flight over scenario tickets ==\n";
   let measure_plan name =
-    let open Heimdall_sem in
-    let module Packet_set = Heimdall_net.Packet_set in
-    let sc = Option.get (Experiments.scenario_of_name name) in
+    let sc = Result.get_ok (Experiments.scenario_of_name name) in
+    let replays = List.map (Selfcheck.replay sc.Experiments.net) sc.Experiments.issues in
     let tickets =
       List.map
-        (fun (issue : Heimdall_msp.Issue.t) ->
-          let broken = issue.Heimdall_msp.Issue.inject sc.Experiments.net in
-          let slice =
-            Heimdall_twin.Twin.slice_nodes ~production:broken
-              ~endpoints:issue.Heimdall_msp.Issue.ticket.Heimdall_msp.Ticket.endpoints
-              ()
-          in
-          let spec =
-            Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice
-              issue.Heimdall_msp.Issue.ticket
-          in
-          {
-            Heimdall_lint.Plan_lint.label = issue.Heimdall_msp.Issue.name;
-            spec;
-            scope = slice;
-            commands = issue.Heimdall_msp.Issue.fix_commands;
-          })
-        sc.Experiments.issues
+        (fun (r : Selfcheck.replay) -> Selfcheck.plan_ticket r.issue ~slice:r.slice r.spec)
+        replays
     in
-    let run domains =
-      let engine = Heimdall_verify.Engine.create ~domains () in
-      Heimdall_obs.Clock.elapsed (fun () ->
+    let plans =
+      one_vs_n ~equal:(List.equal Heimdall_lint.Diagnostic.equal) (fun engine ->
           Heimdall_lint.Lint.check_plans ~engine ~network:sc.Experiments.net
             ~policies:sc.Experiments.policies tickets)
     in
-    let f1, t1 = run 1 in
-    let fn, tn = run n in
-    let identical = List.equal Heimdall_lint.Diagnostic.equal f1 fn in
-    (* Soundness tally: predicted static delta vs the exact ACL diff the
-       twin replay produces. *)
-    let agree =
-      List.fold_left
-        (fun acc (issue : Heimdall_msp.Issue.t) ->
-          let broken = issue.Heimdall_msp.Issue.inject sc.Experiments.net in
-          let em =
-            Heimdall_twin.Twin.build ~production:broken
-              ~endpoints:issue.Heimdall_msp.Issue.ticket.Heimdall_msp.Ticket.endpoints
-              ()
-          in
-          let session =
-            Heimdall_twin.Twin.open_session
-              ~privilege:Heimdall_privilege.Privilege.allow_all em
-          in
-          ignore
-            (Heimdall_twin.Session.exec_many session
-               issue.Heimdall_msp.Issue.fix_commands);
-          let script =
-            Plan_sem.script_of_commands issue.Heimdall_msp.Issue.fix_commands
-          in
-          let a = Plan_sem.analyze ~network:broken script.Plan_sem.script_changes in
-          let before = Heimdall_twin.Emulation.baseline em in
-          let after = Heimdall_twin.Emulation.network em in
-          let open Heimdall_control in
-          let exact =
-            List.fold_left
-              (fun acc node ->
-                let find net =
-                  Option.bind (Network.config node net) (fun cfg ->
-                      Some (cfg : Heimdall_config.Ast.t).acls)
-                  |> Option.value ~default:[]
-                in
-                let names =
-                  List.sort_uniq String.compare
-                    (List.map
-                       (fun (acl : Heimdall_net.Acl.t) -> acl.name)
-                       (find before @ find after))
-                in
-                List.fold_left
-                  (fun acc acl_name ->
-                    let acl_of net =
-                      match Network.config node net with
-                      | Some cfg ->
-                          Option.value
-                            (Heimdall_config.Ast.find_acl acl_name cfg)
-                            ~default:(Heimdall_net.Acl.empty acl_name)
-                      | None -> Heimdall_net.Acl.empty acl_name
-                    in
-                    let d =
-                      Acl_sem.diff ~before:(acl_of before) ~after:(acl_of after)
-                    in
-                    Packet_set.union acc
-                      (Packet_set.union d.Acl_sem.newly_permitted
-                         d.Acl_sem.newly_denied))
-                  acc names)
-              Packet_set.empty (Network.node_names before)
-          in
-          if Packet_set.subset exact a.Plan_sem.delta then acc + 1 else acc)
-        0 sc.Experiments.issues
+    let sound =
+      List.length
+        (List.filter
+           (fun r -> (Selfcheck.plan_soundness r).Selfcheck.delta_sound)
+           replays)
     in
     Printf.printf
       "  %-10s %d tickets, %d findings; 1 domain %.4f s; %d domains %.4f s; identical: %b; delta sound: %d/%d\n"
-      name (List.length tickets) (List.length f1) t1 n tn identical agree
-      (List.length tickets);
+      name (List.length tickets) (List.length plans.one) plans.wall_1 n_domains
+      plans.wall_n plans.identical sound (List.length tickets);
     let open Heimdall_json in
     Json.Obj
       [
         ("network", Json.String name);
         ("tickets", Json.Int (List.length tickets));
-        ("findings", Json.Int (List.length f1));
-        ("wall_s_1_domain", Json.Float t1);
-        ("wall_s_n_domains", Json.Float tn);
-        ("identical_across_domains", Json.Bool identical);
-        ("delta_sound", Json.Int agree);
+        ("findings", Json.Int (List.length plans.one));
+        ("wall_s_1_domain", Json.Float plans.wall_1);
+        ("wall_s_n_domains", Json.Float plans.wall_n);
+        ("identical_across_domains", Json.Bool plans.identical);
+        ("delta_sound", Json.Int sound);
       ]
   in
   let plan_enterprise = measure_plan "enterprise" in
-  let plan_university = measure_plan "university" in
-  let plan_rows = [ plan_enterprise; plan_university ] in
+  let plan_rows = [ plan_enterprise; measure_plan "university" ] in
   let open Heimdall_json in
   persist_report ~key:"sem"
     (Json.Obj
        [
-         ("domains", Json.Int (max 2 (Heimdall_verify.Engine.default_domains ())));
+         ("domains", Json.Int n_domains);
          ("networks", Json.List rows);
          ("plan", Json.List plan_rows);
        ]);
@@ -455,40 +341,29 @@ let report_campaign () =
 let report_chaos () =
   print_string "== Chaos: seeded fault injection over the enterprise issues ==\n";
   let seed = 42 in
-  let sc =
-    match Experiments.scenario_of_name "enterprise" with
-    | Some sc -> sc
-    | None -> assert false
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
+  let head (r : Chaos.result) =
+    Heimdall_enforcer.Audit.head r.Chaos.outcome.Heimdall_enforcer.Enforcer.audit
   in
-  let run_all domains =
-    let engine = Heimdall_verify.Engine.create ~domains () in
-    Heimdall_obs.Clock.elapsed (fun () ->
+  let runs =
+    one_vs_n ~equal:(List.equal (fun a b -> head a = head b)) (fun engine ->
         List.map
           (fun issue -> Chaos.run ~engine ~scenario:sc ~issue ~seed ())
           sc.Experiments.issues)
   in
-  let results1, wall1 = run_all 1 in
-  let n = max 2 (Heimdall_verify.Engine.default_domains ()) in
-  let resultsn, walln = run_all n in
-  List.iter (fun r -> print_string (Chaos.render r)) resultsn;
-  let head (r : Chaos.result) =
-    Heimdall_enforcer.Audit.head r.Chaos.outcome.Heimdall_enforcer.Enforcer.audit
-  in
-  let deterministic =
-    List.equal (fun a b -> head a = head b) results1 resultsn
-  in
+  List.iter (fun r -> print_string (Chaos.render r)) runs.n;
   Printf.printf
-    "1 domain: %.3f s; %d domains: %.3f s; audit heads identical: %b\n" wall1 n
-    walln deterministic;
+    "1 domain: %.3f s; %d domains: %.3f s; audit heads identical: %b\n" runs.wall_1
+    n_domains runs.wall_n runs.identical;
   let open Heimdall_json in
   persist_report ~key:"chaos"
     (Json.Obj
        [
          ("seed", Json.Int seed);
-         ("wall_s_1_domain", Json.Float wall1);
-         ("wall_s_n_domains", Json.Float walln);
-         ("domains", Json.Int n);
-         ("deterministic_across_domains", Json.Bool deterministic);
+         ("wall_s_1_domain", Json.Float runs.wall_1);
+         ("wall_s_n_domains", Json.Float runs.wall_n);
+         ("domains", Json.Int n_domains);
+         ("deterministic_across_domains", Json.Bool runs.identical);
          ( "issues",
            Json.List
              (List.map
@@ -515,24 +390,20 @@ let report_chaos () =
                       ("audit_head", Json.String (head r));
                       ("passed", Json.Bool (Chaos.passed r));
                     ])
-                resultsn) );
+                runs.n) );
        ]);
   print_newline ()
 
 let report_obs () =
   print_string "== Observability: workflow overhead with the Watchtower on vs off ==\n";
   let open Heimdall_verify in
-  let sc =
-    match Experiments.scenario_of_name "enterprise" with
-    | Some sc -> sc
-    | None -> assert false
-  in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   (* One replay = every enterprise issue through the Heimdall workflow on
      a single-domain engine (so the measurement is not at the mercy of
      pool scheduling).  With obs on, the full Watchtower surface is live:
      spans, labeled metrics, events, plus one runtime-sampler tick. *)
   let replay ?obs () =
-    let engine = Engine.create ~domains:1 ?obs () in
+    with_engine ?obs 1 @@ fun engine ->
     let runs =
       List.map
         (fun issue ->
@@ -547,7 +418,6 @@ let report_obs () =
         Heimdall_obs.Runtime.add_sampler runtime (Engine.runtime_sampler engine);
         Heimdall_obs.Runtime.sample runtime
     | None -> ());
-    Engine.shutdown engine;
     runs
   in
   (* Verdict fingerprint: what must be byte-identical with obs on/off.
@@ -590,8 +460,7 @@ let report_obs () =
     reps on_wall reps;
   Printf.printf "overhead: %+.1f%% (budget: 10%%)\n" (overhead *. 100.0);
   Printf.printf "verdicts identical with obs on/off: %b\n" verdicts_ok;
-  Printf.printf "obs gate: %s\n" (if passed then "PASS" else "FAIL");
-  if not passed then gate_failed := true;
+  gate "obs" passed;
   let open Heimdall_json in
   persist_report ~key:"obs"
     (Json.Obj
@@ -758,155 +627,41 @@ let run_benchmarks () =
 (* ------------------------------------------------------------------ *)
 
 (* Generated fleets at three sizes (largest 500+ devices), each through
-   generation, dataplane, policy check and lint with wall times, peak
-   RSS, engine cache stats, and a 1-vs-N-domain verdict identity check;
-   the two smaller fleets also push an injected issue through the full
-   workflow.  Everything gates: a nondeterministic generator, a policy
-   violation, a lint error or a cross-domain verdict drift fails the
-   bench (and CI). *)
+   the shared fleet-scale gate ({!Selfcheck.scale}): regeneration,
+   validation, lint, 1-vs-N-domain verdict identity and every injected
+   issue through the full workflow, with wall times, peak RSS and the
+   N-domain engine's stats.  Any failed gate fails the bench (and CI). *)
 let report_scale () =
-  let open Heimdall_verify in
-  let open Heimdall_control in
   print_string "== Fleet scale: generated fleets vs device count ==\n";
-  let n = max 2 (Engine.default_domains ()) in
-  let single_core = Engine.default_domains () < 2 in
-  let all_ok = ref true in
-  let sections =
+  let sizes =
     List.map
-      (fun (spec, run_issue) ->
-        let params =
-          match Fleetgen.spec_of_string spec with
-          | Ok p -> p
-          | Error m -> failwith ("bad bench spec " ^ spec ^ ": " ^ m)
+      (fun spec ->
+        let params = Result.get_ok (Fleetgen.spec_of_string spec) in
+        let s =
+          with_engine 1 (fun engine1 ->
+              with_engine n_domains (fun engine_n ->
+                  Selfcheck.scale ~engine1 ~engine_n ~issues:true params))
         in
-        let fleet, gen_s =
-          Heimdall_obs.Clock.elapsed (fun () -> Fleetgen.generate params)
-        in
-        let devices = Fleetgen.device_count fleet in
-        let links = Fleetgen.link_count fleet in
-        let deterministic =
-          Network.digest fleet.Fleetgen.net
-          = Network.digest (Fleetgen.generate params).Fleetgen.net
-        in
-        let run domains =
-          let engine = Engine.create ~domains () in
-          let dp, dp_s =
-            Heimdall_obs.Clock.elapsed (fun () ->
-                Engine.dataplane engine fleet.Fleetgen.net)
-          in
-          let report, check_s =
-            Heimdall_obs.Clock.elapsed (fun () ->
-                Policy.check_all ~engine dp fleet.Fleetgen.policies)
-          in
-          let stats = Engine.stats engine in
-          Engine.shutdown engine;
-          (dp_s, check_s, report, stats)
-        in
-        let dp_s1, check_s1, report1, _ = run 1 in
-        let dp_sn, check_sn, reportn, statsn = run n in
-        let fingerprint (r : Policy.report) =
-          ( r.Policy.total,
-            List.map
-              (fun (p, reason) -> (Policy.to_string p, reason))
-              r.Policy.violations )
-        in
-        let verdicts_ok = fingerprint report1 = fingerprint reportn in
-        let findings, lint_s =
-          Heimdall_obs.Clock.elapsed (fun () ->
-              Heimdall_lint.Lint.check_network ~engine:(fresh_engine ()) fleet.Fleetgen.net)
-        in
-        let lint_errors =
-          List.length
-            (List.filter
-               (fun (d : Heimdall_lint.Diagnostic.t) ->
-                 d.severity = Heimdall_lint.Diagnostic.Error)
-               findings)
-        in
-        let workflow_s =
-          if not run_issue then None
-          else
-            let issue = List.hd fleet.Fleetgen.issues in
-            let run, s =
-              Heimdall_obs.Clock.elapsed (fun () ->
-                  Heimdall_msp.Workflow.run_heimdall ~engine:(fresh_engine ())
-                    ~production:fleet.Fleetgen.net
-                    ~policies:fleet.Fleetgen.policies ~issue ())
-            in
-            if not run.Heimdall_msp.Workflow.resolved then all_ok := false;
-            Some s
-        in
-        let speedup = dp_s1 /. Float.max 1e-9 dp_sn in
-        let rss_kb = Option.value ~default:0 (Fleetgen.peak_rss_kb ()) in
-        let ok =
-          deterministic && verdicts_ok && lint_errors = 0
-          && report1.Policy.violations = []
-        in
-        if not ok then all_ok := false;
-        Printf.printf
-          "%-38s %4d dev %4d links  gen %6.3f s  dp %6.3f s  check %6.3f s  \
-           lint %6.3f s%s\n"
-          spec devices links gen_s dp_s1 check_s1 lint_s
-          (match workflow_s with
-          | Some s -> Printf.sprintf "  workflow %6.3f s" s
-          | None -> "");
-        Printf.printf
-          "  deterministic: %b  verdicts 1=%d domains: %b  violations: %d  \
-           lint errors: %d  dp speedup %.2fx%s  peak RSS %.1f MB\n"
-          deterministic n verdicts_ok
-          (List.length report1.Policy.violations)
-          lint_errors speedup
-          (if single_core then " (single-core host)" else "")
-          (float_of_int rss_kb /. 1024.);
-        let open Heimdall_json in
-        Json.Obj
-          ([
-             ("spec", Json.String spec);
-             ("devices", Json.Int devices);
-             ("links", Json.Int links);
-             ("policies", Json.Int report1.Policy.total);
-             ("wall_s_generate", Json.Float gen_s);
-             ("wall_s_dataplane_1_domain", Json.Float dp_s1);
-             ("wall_s_dataplane_n_domains", Json.Float dp_sn);
-             ("wall_s_check_1_domain", Json.Float check_s1);
-             ("wall_s_check_n_domains", Json.Float check_sn);
-             ("wall_s_lint", Json.Float lint_s);
-             ("dataplane_speedup",
-              if single_core then Json.String "skipped-single-core"
-              else Json.Float speedup);
-             ("deterministic", Json.Bool deterministic);
-             ("verdicts_identical_across_domains", Json.Bool verdicts_ok);
-             ("violations", Json.Int (List.length report1.Policy.violations));
-             ("lint_errors", Json.Int lint_errors);
-             ("peak_rss_kb", Json.Int rss_kb);
-             ("engine_stats_n_domains", Engine.stats_to_json statsn);
-           ]
-          @
-          match workflow_s with
-          | Some s -> [ ("wall_s_workflow_one_issue", Json.Float s) ]
-          | None -> []))
-      [
-        ("fat-tree:k=4", true);
-        ("fat-tree:k=8", true);
-        ("multi-campus:campuses=20:buildings=8", false);
-      ]
+        List.iter prerr_endline (Selfcheck.scale_problems s);
+        print_string (Selfcheck.render_scale s);
+        s)
+      [ "fat-tree:k=4"; "fat-tree:k=8"; "multi-campus:campuses=20:buildings=8" ]
   in
-  Printf.printf "scale gate: %s\n" (if !all_ok then "PASS" else "FAIL");
-  if not !all_ok then gate_failed := true;
+  let passed = List.for_all Selfcheck.scale_passed sizes in
+  gate "scale (all sizes)" passed;
   let open Heimdall_json in
   persist_report ~key:"scale"
     (Json.Obj
        [
-         ("domains", Json.Int n);
-         ("passed", Json.Bool !all_ok);
-         ("sizes", Json.List sections);
+         ("domains", Json.Int n_domains);
+         ("passed", Json.Bool passed);
+         ("sizes", Json.List (List.map Selfcheck.scale_to_json sizes));
        ]);
   print_newline ()
 
 let report_poltree () =
-  let open Heimdall_verify in
   let open Heimdall_poltree in
   print_string "== Policy tree: compile + POL analysis vs fleet size ==\n";
-  let n = max 2 (Engine.default_domains ()) in
   let all_ok = ref true in
   let rule_registry =
     List.filter
@@ -916,28 +671,16 @@ let report_poltree () =
   let sections =
     List.map
       (fun spec ->
-        let params =
-          match Fleetgen.spec_of_string spec with
-          | Ok p -> p
-          | Error m -> failwith ("bad bench spec " ^ spec ^ ": " ^ m)
-        in
-        let fleet = Fleetgen.generate params in
+        let fleet = Fleetgen.generate (Result.get_ok (Fleetgen.spec_of_string spec)) in
         let compiled, compile_s =
           Heimdall_obs.Clock.elapsed (fun () ->
               Compile.compile_exn fleet.Fleetgen.poltree)
         in
-        let run domains =
-          let engine = Engine.create ~domains () in
-          let findings, s =
-            Heimdall_obs.Clock.elapsed (fun () ->
-                Analysis.check ~engine ~policies:fleet.Fleetgen.policies compiled)
-          in
-          Engine.shutdown engine;
-          (findings, s)
+        let checks =
+          one_vs_n ~equal:( = ) (fun engine ->
+              Analysis.check ~engine ~policies:fleet.Fleetgen.policies compiled)
         in
-        let findings1, check_s1 = run 1 in
-        let findingsn, check_sn = run n in
-        let identical = findings1 = findingsn in
+        let findings1 = checks.one and identical = checks.identical in
         let pol004_errors =
           List.length
             (List.filter
@@ -959,9 +702,9 @@ let report_poltree () =
           spec
           (List.length compiled.Compile.nodes)
           (List.length compiled.Compile.leaves)
-          compile_s check_s1 n check_sn;
+          compile_s checks.wall_1 n_domains checks.wall_n;
         Printf.printf
-          "  verdicts 1=%d domains: %b  POL004 errors: %d  findings: %d\n" n
+          "  verdicts 1=%d domains: %b  POL004 errors: %d  findings: %d\n" n_domains
           identical pol004_errors (List.length findings1);
         let open Heimdall_json in
         Json.Obj
@@ -971,8 +714,8 @@ let report_poltree () =
             ("leaves", Json.Int (List.length compiled.Compile.leaves));
             ("rules", Json.Int (Poltree.rule_count fleet.Fleetgen.poltree));
             ("wall_s_compile", Json.Float compile_s);
-            ("wall_s_check_1_domain", Json.Float check_s1);
-            ("wall_s_check_n_domains", Json.Float check_sn);
+            ("wall_s_check_1_domain", Json.Float checks.wall_1);
+            ("wall_s_check_n_domains", Json.Float checks.wall_n);
             ("findings_identical_across_domains", Json.Bool identical);
             ("pol004_errors", Json.Int pol004_errors);
             ( "findings_per_rule",
@@ -984,22 +727,15 @@ let report_poltree () =
           ])
       [ "fat-tree:k=4"; "fat-tree:k=8"; "multi-campus:campuses=20:buildings=8" ]
   in
-  Printf.printf "poltree gate: %s\n" (if !all_ok then "PASS" else "FAIL");
-  if not !all_ok then gate_failed := true;
+  gate "poltree" !all_ok;
   let open Heimdall_json in
-  let families =
-    List.sort_uniq compare
-      (List.map
-         (fun (r : Heimdall_lint.Lint.rule) -> r.family)
-         Heimdall_lint.Lint.rules)
-  in
   persist_report ~key:"poltree"
     (Json.Obj
        [
-         ("domains", Json.Int n);
+         ("domains", Json.Int n_domains);
          ("passed", Json.Bool !all_ok);
          ("rule_registry_total", Json.Int (List.length Heimdall_lint.Lint.rules));
-         ("rule_registry_families", Json.Int (List.length families));
+         ("rule_registry_families", Json.Int (List.length Heimdall_lint.Lint.families));
          ("rule_registry_pol", Json.Int (List.length rule_registry));
          ("fleets", Json.List sections);
        ]);
@@ -1012,12 +748,15 @@ let report_poltree () =
 let reports =
   [
     ("table1", report_table1);
-    ("fig7", report_fig7);
-    ("fig7-university", report_fig7_university);
-    ("fig8", report_fig8);
-    ("fig9", report_fig9);
+    ("fig7", report_fig7 `Enterprise);
+    ("fig7-university", report_fig7 `University);
+    ( "fig8",
+      report_sweep ~title:"Figure 8: feasibility and attack surface (enterprise)"
+        Experiments.fig8 );
+    ( "fig9",
+      report_sweep ~title:"Figure 9: feasibility and attack surface (university)"
+        Experiments.fig9 );
     ("engine", report_engine);
-    ("lint", report_lint);
     ("sem", report_sem);
     ("ablation-verify", report_ablation_verify);
     ("ablation-slicer", report_ablation_slicer);

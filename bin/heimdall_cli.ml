@@ -31,39 +31,57 @@ open Heimdall_scenarios
 
 (* ---------------- shared arguments ---------------- *)
 
-let is_fleet_spec s = String.length s > 6 && String.sub s 0 6 = "fleet:"
-
 let or_list names =
   match List.rev names with
   | last :: (_ :: _ as rest) -> String.concat ", " (List.rev rest) ^ " or " ^ last
   | _ -> String.concat "" names
 
-(* The parsed value carries its scenario name (threaded through
-   [Experiments.scenario]), so printing it back can never misreport —
-   no probing the network for well-known node names.  A bad fleet:<spec>
-   reports the fleet parser's message, which [scenario_of_name] drops. *)
-let network_of_string s =
-  match (Experiments.scenario_of_name s, Fleetgen.spec_of_string s) with
-  | Some sc, _ -> Ok sc
-  | None, Error m when is_fleet_spec s -> Error ("bad fleet spec: " ^ m)
-  | None, _ ->
-      Error
-        (Printf.sprintf "unknown network %S (try %s)" s
-           (String.concat " or " Experiments.scenario_names))
+let unknown_network s =
+  Printf.sprintf "unknown network %S (try %s)" s
+    (String.concat " or " Experiments.scenario_names)
+
+(* The one target resolver: a scenario name, a generated fleet:<spec>
+   (a bad spec reports the fleet parser's message) or a directory in the
+   loader layout, which carries no policies or issues.  The resolved
+   scenario carries its name, so printing it back never misreports.
+   [unknown] words the error for a name that is none of these. *)
+let resolve_target ?(unknown = unknown_network) target =
+  match Experiments.scenario_of_name target with
+  | Ok sc -> Ok sc
+  | Error _ when Sys.file_exists target && Sys.is_directory target ->
+      Loader.load_dir target
+      |> Result.map (fun net -> Experiments.scenario target net [] [])
+      |> Result.map_error Loader.error_to_string
+  | Error (`Bad_fleet_spec m) -> Error ("bad fleet spec: " ^ m)
+  | Error `Unknown -> Error (unknown target)
+
+(* For targets resolved at run time rather than by cmdliner.  A loader
+   error already names its file, so it goes out as is. *)
+let target_or_exit ?unknown target =
+  match resolve_target ?unknown target with
+  | Ok sc -> sc
+  | Error m ->
+      let is_dir = Sys.file_exists target && Sys.is_directory target in
+      prerr_endline (if is_dir then m else "heimdall: " ^ m);
+      exit 124
 
 let network_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (network_of_string s) in
+  let parse s = Result.map_error (fun m -> `Msg m) (resolve_target s) in
   let print fmt (sc : Experiments.scenario) =
     Format.pp_print_string fmt sc.scenario_name
   in
   Arg.conv (parse, print)
 
-let network_arg =
-  Arg.(
-    required
-    & pos 0 (some network_conv) None
-    & info [] ~docv:"NETWORK"
-        ~doc:"Evaluation network: enterprise, university or a generated fleet:<spec>.")
+let network_info =
+  Arg.info [] ~docv:"NETWORK"
+    ~doc:
+      "Evaluation network (enterprise, university or a generated fleet:<spec>) or a \
+       directory in the loader layout (see the export subcommand)."
+
+let network_arg = Arg.(required & pos 0 (some network_conv) None & network_info)
+
+(* lint and analyze resolve theirs at run time: with --rules it may be absent. *)
+let lint_target_arg = Arg.(value & pos 0 (some string) None & network_info)
 
 let issue_names = "vlan, ospf or isp (fleet: misconfig, drift or overgrant)"
 
@@ -73,23 +91,25 @@ let issue_arg n =
     & pos n (some string) None
     & info [] ~docv:"ISSUE" ~doc:("Issue name: " ^ issue_names ^ "."))
 
-let find_issue (sc : Experiments.scenario) name =
+let issue_or_exit (sc : Experiments.scenario) name =
   match List.find_opt (fun (i : Heimdall_msp.Issue.t) -> i.name = name) sc.issues with
-  | Some i -> Ok i
+  | Some i -> i
   | None ->
-      Error
-        (Printf.sprintf "unknown issue %S (try %s)" name
-           (or_list (List.map (fun (i : Heimdall_msp.Issue.t) -> i.name) sc.issues)))
+      let names = List.map (fun (i : Heimdall_msp.Issue.t) -> i.name) sc.issues in
+      Printf.eprintf "unknown issue %S (%s)\n" name
+        (if names = [] then sc.scenario_name ^ " has no issues" else "try " ^ or_list names);
+      exit 1
 
-(* The grant Heimdall issues for a ticket: inject the issue, slice the
-   twin around the ticket's endpoints and generate the privilege spec
-   over the slice.  Returns the broken network, the slice and the spec. *)
-let ticket_grant net (issue : Heimdall_msp.Issue.t) =
-  let broken = issue.inject net in
-  let slice =
-    Heimdall_twin.Twin.slice_nodes ~production:broken ~endpoints:issue.ticket.endpoints ()
-  in
-  (broken, slice, Heimdall_msp.Priv_gen.for_ticket ~network:broken ~slice issue.ticket)
+(* The optional ISSUE of [obs] and [chaos]: one issue, or all of them. *)
+let issue_opt_arg what =
+  Arg.(
+    value
+    & pos 1 (some string) None
+    & info [] ~docv:"ISSUE" ~doc:(what ^ issue_names ^ "; default: all three."))
+
+let issues_of (sc : Experiments.scenario) = function
+  | None -> sc.issues
+  | Some name -> [ issue_or_exit sc name ]
 
 (* ---------------- network ---------------- *)
 
@@ -210,18 +230,19 @@ let trace_cmd =
     (Cmd.info "trace" ~doc:"Trace an ICMP flow through the dataplane")
     Term.(const run $ network_arg $ addr 1 "SRC" $ addr 2 "DST")
 
+(* Write [items] to [path] as JSON lines through [emit]. *)
+let write_jsonl path what emit items =
+  let sink = Heimdall_obs.Sink.file path in
+  emit sink items;
+  Heimdall_obs.Sink.close sink;
+  Printf.printf "wrote %d %s to %s\n" (List.length items) what path
+
 (* Drain an Obs context to the terminal (span tree + metrics dump) and,
    when requested, to a JSONL trace file.  Shared by [obs] and [ticket]. *)
 let dump_obs ?trace_out ~metrics (obs : Heimdall_obs.Obs.t) =
   let spans = Heimdall_obs.Tracer.flush obs.tracer in
   print_string (Heimdall_obs.Tracer.render_tree spans);
-  (match trace_out with
-  | Some path ->
-      let sink = Heimdall_obs.Sink.file path in
-      Heimdall_obs.Tracer.emit sink spans;
-      Heimdall_obs.Sink.close sink;
-      Printf.printf "wrote %d spans to %s\n" (List.length spans) path
-  | None -> ());
+  Option.iter (fun path -> write_jsonl path "spans" Heimdall_obs.Tracer.emit spans) trace_out;
   let events = Heimdall_obs.Events.events obs.events in
   if events <> [] then begin
     print_endline "events:";
@@ -240,11 +261,15 @@ let dump_obs ?trace_out ~metrics (obs : Heimdall_obs.Obs.t) =
          (Heimdall_obs.Metrics.to_json obs.metrics))
 
 (* Replay a scenario's issues through the instrumented workflow on a
-   shared context: the registry is labeled by scenario (via a scoped
-   engine view) and by session (one scoped view per issue), so every
-   series on the /metrics page says which run produced it.  Shared by
-   [obs] and [serve]. *)
-let replay_issues ~engine ~(sc : Experiments.scenario) issues =
+   fresh shared context, returned with its engine: the registry is
+   labeled by scenario (via a scoped engine view) and by session (one
+   scoped view per issue), so every series on the /metrics page says
+   which run produced it.  Shared by [obs] and [serve]. *)
+let replay_issues flags (sc : Experiments.scenario) issues =
+  let obs = Heimdall_obs.Obs.create () in
+  let engine =
+    make_engine ~obs:(Heimdall_obs.Obs.scoped obs [ ("scenario", sc.scenario_name) ]) flags
+  in
   List.iter
     (fun (issue : Heimdall_msp.Issue.t) ->
       let engine =
@@ -257,16 +282,10 @@ let replay_issues ~engine ~(sc : Experiments.scenario) issues =
       Printf.printf "%s: %s, %d denied commands\n" issue.Heimdall_msp.Issue.name
         (if run.Heimdall_msp.Workflow.resolved then "resolved" else "NOT resolved")
         run.Heimdall_msp.Workflow.denied)
-    issues
+    issues;
+  (obs, engine)
 
 let obs_cmd =
-  let issue_opt_arg =
-    Arg.(
-      value
-      & pos 1 (some string) None
-      & info [] ~docv:"ISSUE"
-          ~doc:("Issue to replay: " ^ issue_names ^ "; default: all three."))
-  in
   let prometheus_out_arg =
     Arg.(
       value
@@ -275,22 +294,8 @@ let obs_cmd =
           ~doc:"Also write the Prometheus text exposition to $(docv).")
   in
   let run sc issue_name trace_out metrics flags prometheus_out =
-    let issues =
-      match issue_name with
-      | None -> sc.Experiments.issues
-      | Some name -> (
-          match find_issue sc name with
-          | Ok i -> [ i ]
-          | Error m ->
-              prerr_endline m;
-              exit 1)
-    in
-    let obs = Heimdall_obs.Obs.create () in
-    let scoped =
-      Heimdall_obs.Obs.scoped obs [ ("scenario", sc.Experiments.scenario_name) ]
-    in
-    let engine = make_engine ~obs:scoped flags in
-    replay_issues ~engine ~sc issues;
+    let issues = issues_of sc issue_name in
+    let obs, engine = replay_issues flags sc issues in
     print_string (Heimdall_verify.Engine.render_stats (Heimdall_verify.Engine.stats engine));
     dump_obs ?trace_out ~metrics obs;
     match prometheus_out with
@@ -307,7 +312,8 @@ let obs_cmd =
          "Replay a scenario's issues through the instrumented Heimdall workflow and \
           print the span tree, structured events and metrics")
     Term.(
-      const run $ network_arg $ issue_opt_arg $ trace_out_arg $ metrics_flag $ engine_flags
+      const run $ network_arg $ issue_opt_arg "Issue to replay: " $ trace_out_arg
+      $ metrics_flag $ engine_flags
       $ prometheus_out_arg)
 
 (* ---------------- ticket ---------------- *)
@@ -321,40 +327,32 @@ let ticket_cmd =
           ~doc:"Write the run's structured events to $(docv) as JSON lines.")
   in
   let run ({ Experiments.net; policies; _ } as sc) issue_name trace_out metrics events_out =
-    match find_issue sc issue_name with
-    | Error m ->
-        prerr_endline m;
-        exit 1
-    | Ok issue ->
-        print_endline (Heimdall_msp.Issue.to_string issue);
-        (* The current workflow runs uninstrumented; the Heimdall run is
-           the one the trace and metrics describe. *)
-        let current =
-          Heimdall_msp.Workflow.run_current ~engine:(make_engine default_flags)
-            ~production:net ~issue
-        in
-        print_string (Heimdall_msp.Workflow.run_to_string current);
-        let obs =
-          if trace_out <> None || metrics || events_out <> None then
-            Some (Heimdall_obs.Obs.create ())
-          else None
-        in
-        let heimdall =
-          Heimdall_msp.Workflow.run_heimdall ~engine:(make_engine ?obs default_flags)
-            ~production:net ~policies ~issue ()
-        in
-        print_string (Heimdall_msp.Workflow.run_to_string heimdall);
-        Printf.printf "Heimdall overhead: +%.1f s\n"
-          (Heimdall_msp.Workflow.total_s heimdall -. Heimdall_msp.Workflow.total_s current);
-        (match (events_out, obs) with
-        | Some path, Some o ->
-            let sink = Heimdall_obs.Sink.file path in
-            let events = Heimdall_obs.Events.events o.events in
-            Heimdall_obs.Events.emit sink events;
-            Heimdall_obs.Sink.close sink;
-            Printf.printf "wrote %d events to %s\n" (List.length events) path
-        | _ -> ());
-        Option.iter (fun o -> dump_obs ?trace_out ~metrics o) obs
+    let issue = issue_or_exit sc issue_name in
+    print_endline (Heimdall_msp.Issue.to_string issue);
+    (* The current workflow runs uninstrumented; the Heimdall run is
+       the one the trace and metrics describe. *)
+    let current =
+      Heimdall_msp.Workflow.run_current ~engine:(make_engine default_flags)
+        ~production:net ~issue
+    in
+    print_string (Heimdall_msp.Workflow.run_to_string current);
+    let obs =
+      if trace_out <> None || metrics || events_out <> None then
+        Some (Heimdall_obs.Obs.create ())
+      else None
+    in
+    let heimdall =
+      Heimdall_msp.Workflow.run_heimdall ~engine:(make_engine ?obs default_flags)
+        ~production:net ~policies ~issue ()
+    in
+    print_string (Heimdall_msp.Workflow.run_to_string heimdall);
+    Printf.printf "Heimdall overhead: +%.1f s\n"
+      (Heimdall_msp.Workflow.total_s heimdall -. Heimdall_msp.Workflow.total_s current);
+    (match (events_out, obs) with
+    | Some path, Some o ->
+        write_jsonl path "events" Heimdall_obs.Events.emit (Heimdall_obs.Events.events o.events)
+    | _ -> ());
+    Option.iter (fun o -> dump_obs ?trace_out ~metrics o) obs
   in
   Cmd.v
     (Cmd.info "ticket" ~doc:"Run an issue through both workflows")
@@ -408,12 +406,7 @@ let serve_cmd =
     at 0
   in
   let run (sc : Experiments.scenario) port interval once flags =
-    let obs = Heimdall_obs.Obs.create () in
-    let scoped =
-      Heimdall_obs.Obs.scoped obs [ ("scenario", sc.Experiments.scenario_name) ]
-    in
-    let engine = make_engine ~obs:scoped flags in
-    replay_issues ~engine ~sc sc.Experiments.issues;
+    let obs, engine = replay_issues flags sc sc.Experiments.issues in
     (* The monitor watches an observed-network cell; in a real deployment
        the thunk would poll devices, here it reads the cell that --once
        (or a chaos driver) perturbs. *)
@@ -530,15 +523,10 @@ let privilege_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the JSON front-end format.")
   in
   let run ({ Experiments.net; _ } as sc) issue_name json =
-    match find_issue sc issue_name with
-    | Error m ->
-        prerr_endline m;
-        exit 1
-    | Ok issue ->
-        let _, slice, spec = ticket_grant net issue in
-        Printf.printf "twin slice: %s\n\n" (String.concat ", " slice);
-        if json then print_endline (Heimdall_privilege.Json_frontend.render ~pretty:true spec)
-        else print_string (Heimdall_privilege.Dsl.render spec)
+    let _, slice, spec = Selfcheck.ticket_grant net (issue_or_exit sc issue_name) in
+    Printf.printf "twin slice: %s\n\n" (String.concat ", " slice);
+    if json then print_endline (Heimdall_privilege.Json_frontend.render ~pretty:true spec)
+    else print_string (Heimdall_privilege.Dsl.render spec)
   in
   Cmd.v
     (Cmd.info "privilege" ~doc:"Print the generated Privilege_msp for an issue")
@@ -593,39 +581,19 @@ let print_lint_rules () =
         (Diagnostic.severity_to_string r.severity)
         r.summary)
     Lint.rules;
-  let families =
-    List.sort_uniq compare (List.map (fun (r : Lint.rule) -> r.family) Lint.rules)
-  in
   Printf.printf "%d rules in %d families\n" (List.length Lint.rules)
-    (List.length families)
+    (List.length Lint.families)
 
-let lint_target_arg =
-  Arg.(
-    value
-    & pos 0 (some string) None
-    & info [] ~docv:"NETWORK"
-        ~doc:
-          "Evaluation network (enterprise, university or a generated fleet:<spec>) \
-           or a directory in the loader layout (see the export subcommand).")
-
-(* A scenario name analyses the network plus the privilege spec Heimdall
-   would generate for each of its issues; a loader directory analyses
-   just the network on disk. *)
-let resolve_lint_target target =
-  match Experiments.scenario_of_name target with
-  | Some sc -> (sc.Experiments.scenario_name, sc.Experiments.net, sc.Experiments.issues)
-  | None when Sys.file_exists target && Sys.is_directory target -> (
-      match Loader.load_dir target with
-      | Ok net -> (target, net, [])
-      | Error e ->
-          prerr_endline (Loader.error_to_string e);
-          exit 124)
-  | None -> (
-      match network_of_string target with
-      | Error m ->
-          prerr_endline ("heimdall: " ^ m);
-          exit 124
-      | Ok _ -> assert false)
+(* lint, analyze and policy: --rules lists the rule registry and exits;
+   otherwise the target named [docv] is required. *)
+let rules_or_target ~docv rules target k =
+  match (rules, target) with
+  | true, _ -> print_lint_rules ()
+  | false, None ->
+      prerr_endline
+        (Printf.sprintf "heimdall: required argument %s is missing (or pass --rules)" docv);
+      exit 124
+  | false, Some target -> k target
 
 (* Render (and optionally exit non-zero) through the shared severity
    gate: the exit decision is made on the filtered report, so a run that
@@ -650,35 +618,33 @@ let print_report_and_exit ~name ~json ~header findings_filtered ~fail =
 
 let lint_cmd =
   let open Heimdall_lint in
+  (* A scenario analyses the network plus the privilege spec Heimdall
+     would generate for each of its issues; a loader directory has no
+     issues, so just the network on disk. *)
   let run target json severity flags rules =
-    match (rules, target) with
-    | true, _ -> print_lint_rules ()
-    | false, None ->
-        prerr_endline "heimdall: required argument NETWORK is missing (or pass --rules)";
-        exit 124
-    | false, Some target ->
-        let name, net, issues = resolve_lint_target target in
-        let engine = make_engine flags in
-        let config_findings = Lint.check_network ~engine net in
-        (* Also lint the privilege spec Heimdall would generate for each of
-           the scenario's issues — the third analyzer family. *)
-        let priv_findings =
-          List.concat_map
-            (fun (issue : Heimdall_msp.Issue.t) ->
-              let broken, _, spec = ticket_grant net issue in
-              Lint.check_privilege ~network:broken ~label:("ticket:" ^ issue.name) spec)
-            issues
-        in
-        let findings, fail =
-          Lint.apply_severity ~min_severity:severity
-            (List.sort Diagnostic.compare (config_findings @ priv_findings))
-        in
-        let header =
-          Printf.sprintf "lint %s: %d devices, %d privilege specs\n" name
-            (List.length (Network.node_names net))
-            (List.length issues)
-        in
-        print_report_and_exit ~name ~json ~header findings ~fail
+    rules_or_target ~docv:"NETWORK" rules target @@ fun target ->
+    let { Experiments.scenario_name = name; net; issues; _ } = target_or_exit target in
+    let engine = make_engine flags in
+    let config_findings = Lint.check_network ~engine net in
+    (* Also lint the privilege spec Heimdall would generate for each of
+       the scenario's issues — the third analyzer family. *)
+    let priv_findings =
+      List.concat_map
+        (fun (issue : Heimdall_msp.Issue.t) ->
+          let broken, _, spec = Selfcheck.ticket_grant net issue in
+          Lint.check_privilege ~network:broken ~label:("ticket:" ^ issue.name) spec)
+        issues
+    in
+    let findings, fail =
+      Lint.apply_severity ~min_severity:severity
+        (List.sort Diagnostic.compare (config_findings @ priv_findings))
+    in
+    let header =
+      Printf.sprintf "lint %s: %d devices, %d privilege specs\n" name
+        (List.length (Network.node_names net))
+        (List.length issues)
+    in
+    print_report_and_exit ~name ~json ~header findings ~fail
   in
   Cmd.v
     (Cmd.info "lint"
@@ -724,16 +690,6 @@ let seed_acl_defect net =
       in
       (net, node, acl_name)
 
-(* Exact post-apply ACL delta of a replayed session: the union, over
-   every (device, ACL) pair, of the packets the edits opened or closed.
-   This is what the static plan analysis must over-approximate. *)
-let exact_session_delta em =
-  List.fold_left
-    (fun acc (_, _, (d : Heimdall_sem.Acl_sem.diff)) ->
-      Packet_set.union acc (Packet_set.union d.newly_permitted d.newly_denied))
-    Packet_set.empty
-    (Heimdall_enforcer.Enforcer.session_acl_diffs em)
-
 let analyze_cmd =
   let open Heimdall_lint in
   let seed_defect_flag =
@@ -756,150 +712,75 @@ let analyze_cmd =
              non-zero otherwise).")
   in
   let run target json severity flags rules seed_defect plan =
-    match (rules, target) with
-    | true, _ -> print_lint_rules ()
-    | false, None ->
-        prerr_endline "heimdall: required argument NETWORK is missing (or pass --rules)";
-        exit 124
-    | false, Some target ->
-        let name, net, issues = resolve_lint_target target in
-        let net, seeded =
-          if seed_defect then
-            let net, node, acl = seed_acl_defect net in
-            (net, Some (node, acl))
-          else (net, None)
-        in
-        let engine = make_engine flags in
-        let net_findings = Lint.check_network ~engine net in
-        (* Per issue: grant the ticket and replay its scripted fix in a
-           twin session, once.  The replay feeds the over-grant analyzer
-           (PRV004) and, with --plan, the soundness check below. *)
-        let replays =
-          List.map
-            (fun (issue : Heimdall_msp.Issue.t) ->
-              let broken, slice, spec = ticket_grant net issue in
-              let em =
-                Heimdall_twin.Twin.build ~production:broken
-                  ~endpoints:issue.ticket.endpoints ()
-              in
-              let session = Heimdall_twin.Twin.open_session ~privilege:spec em in
-              ignore (Heimdall_twin.Session.exec_many session issue.fix_commands);
-              (issue, broken, slice, spec, em, session))
-            issues
-        in
-        (* Lint the generated spec, then ask PRV004 what privilege the
-           grant carried that the fix never exercised. *)
-        let issue_findings =
+    rules_or_target ~docv:"NETWORK" rules target @@ fun target ->
+    let { Experiments.scenario_name = name; net; policies; issues; _ } =
+      target_or_exit target
+    in
+    let net, seeded =
+      if seed_defect then
+        let net, node, acl = seed_acl_defect net in
+        (net, Some (node, acl))
+      else (net, None)
+    in
+    let engine = make_engine flags in
+    let net_findings = Lint.check_network ~engine net in
+    (* Per issue: grant the ticket and replay its scripted fix in a twin
+       session, once.  The replay feeds the over-grant analyzer (PRV004)
+       and, with --plan, the soundness oracle. *)
+    let replays = List.map (Selfcheck.replay net) issues in
+    (* Lint the generated spec, then ask PRV004 what privilege the grant
+       carried that the fix never exercised. *)
+    let issue_findings =
+      List.concat_map
+        (fun (r : Selfcheck.replay) ->
+          let label = "ticket:" ^ r.issue.name in
+          let changes = Heimdall_twin.Emulation.changes r.emulation in
+          Lint.check_privilege ~network:r.broken ~label r.spec
+          @ Lint.check_privilege_usage ~label ~network:r.broken ~spec:r.spec ~changes ())
+        replays
+    in
+    (* With --plan: the static plan-effect analysis per ticket, held to
+       the twin replay by the soundness oracle. *)
+    let plan_findings, plan_failures =
+      if not plan then ([], [])
+      else
+        ( List.concat_map
+            (fun (r : Selfcheck.replay) ->
+              Lint.check_plans ~engine ~network:r.broken ~policies
+                [ Selfcheck.plan_ticket r.issue ~slice:r.slice r.spec ])
+            replays,
           List.concat_map
-            (fun ((issue : Heimdall_msp.Issue.t), broken, _, spec, em, _) ->
-              let label = "ticket:" ^ issue.name in
-              let spec_findings = Lint.check_privilege ~network:broken ~label spec in
-              let changes = Heimdall_twin.Emulation.changes em in
-              let usage_findings =
-                Lint.check_privilege_usage ~label ~network:broken ~spec ~changes ()
-              in
-              spec_findings @ usage_findings)
-            replays
-        in
-        (* With --plan: run the static plan-effect analysis per ticket,
-           then use the twin replay as the soundness oracle — the static
-           answer must over-approximate the exact one, never undercut
-           it. *)
-        let plan_findings, plan_failures =
-          if not plan then ([], [])
-          else
-            let policies =
-              match Experiments.scenario_of_name target with
-              | Some sc -> sc.Experiments.policies
-              | None -> []
-            in
-            List.fold_left
-              (fun (findings_acc, fail_acc)
-                   ((issue : Heimdall_msp.Issue.t), broken, slice, spec, em, session) ->
-                let label = "ticket:" ^ issue.name in
-                let ticket =
-                  {
-                    Plan_lint.label;
-                    spec;
-                    scope = slice;
-                    commands = issue.fix_commands;
-                  }
-                in
-                let plan_diags =
-                  Lint.check_plans ~engine ~network:broken ~policies [ ticket ]
-                in
-                let script =
-                  Heimdall_sem.Plan_sem.script_of_commands issue.fix_commands
-                in
-                let analysis =
-                  Heimdall_sem.Plan_sem.analyze ~network:broken
-                    script.Heimdall_sem.Plan_sem.script_changes
-                in
-                let proof =
-                  Heimdall_sem.Plan_sem.prove ~spec
-                    (Heimdall_sem.Plan_sem.plan_requirements ~network:broken script)
-                in
-                let changes = Heimdall_twin.Emulation.changes em in
-                let exact = exact_session_delta em in
-                let fails = [] in
-                let fails =
-                  if Packet_set.subset exact analysis.Heimdall_sem.Plan_sem.delta
-                  then fails
-                  else
-                    Printf.sprintf
-                      "%s: predicted delta does NOT contain the exact post-apply ACL diff"
-                      label
-                    :: fails
-                in
-                let denied = Heimdall_twin.Session.denied_count session in
-                let priv_rej =
-                  Heimdall_enforcer.Verifier.privilege_rejections ~privilege:spec
-                    changes
-                in
-                let fails =
-                  if
-                    proof.Heimdall_sem.Plan_sem.sufficient
-                    && (denied > 0 || priv_rej <> [])
-                  then
-                    Printf.sprintf
-                      "%s: statically sufficient, but replay denied %d command(s) and rejected %d change(s)"
-                      label denied (List.length priv_rej)
-                    :: fails
-                  else fails
-                in
-                (findings_acc @ plan_diags, fail_acc @ List.rev fails))
-              ([], []) replays
-        in
-        let findings, fail =
-          Lint.apply_severity ~min_severity:severity
-            (List.sort Diagnostic.compare
-               (net_findings @ issue_findings @ plan_findings))
-        in
-        let header =
-          let acl_count =
-            List.fold_left
-              (fun n (_, (cfg : Heimdall_config.Ast.t)) -> n + List.length cfg.acls)
-              0 (Network.configs net)
-          in
-          Printf.sprintf "analyze %s: %d devices, %d ACLs, %d tickets%s\n" name
-            (List.length (Network.node_names net))
-            acl_count (List.length issues)
-            (match seeded with
-            | Some (node, acl) ->
-                Printf.sprintf " [seeded union-shadow defect into %s/%s]" node acl
-            | None -> "")
-        in
-        (* Soundness verdicts go to stderr so --json output stays a
-           single clean report. *)
-        List.iter (fun m -> prerr_endline ("plan soundness: FAIL — " ^ m)) plan_failures;
-        if plan && plan_failures = [] then
-          prerr_endline
-            (Printf.sprintf
-               "plan soundness: %d ticket(s) checked — predicted delta contains the \
-                exact diff, privilege verdict agrees with replay"
-               (List.length issues));
-        print_report_and_exit ~name ~json ~header findings
-          ~fail:(fail || plan_failures <> [])
+            (fun r -> Selfcheck.soundness_failures (Selfcheck.plan_soundness r))
+            replays )
+    in
+    let findings, fail =
+      Lint.apply_severity ~min_severity:severity
+        (List.sort Diagnostic.compare (net_findings @ issue_findings @ plan_findings))
+    in
+    let header =
+      let acl_count =
+        List.fold_left
+          (fun n (_, (cfg : Heimdall_config.Ast.t)) -> n + List.length cfg.acls)
+          0 (Network.configs net)
+      in
+      Printf.sprintf "analyze %s: %d devices, %d ACLs, %d tickets%s\n" name
+        (List.length (Network.node_names net))
+        acl_count (List.length issues)
+        (match seeded with
+        | Some (node, acl) ->
+            Printf.sprintf " [seeded union-shadow defect into %s/%s]" node acl
+        | None -> "")
+    in
+    (* Soundness verdicts go to stderr so --json output stays a single
+       clean report. *)
+    List.iter (fun m -> prerr_endline ("plan soundness: FAIL — " ^ m)) plan_failures;
+    if plan && plan_failures = [] then
+      prerr_endline
+        (Printf.sprintf
+           "plan soundness: %d ticket(s) checked — predicted delta contains the \
+            exact diff, privilege verdict agrees with replay"
+           (List.length issues));
+    print_report_and_exit ~name ~json ~header findings ~fail:(fail || plan_failures <> [])
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -915,22 +796,16 @@ let analyze_cmd =
 
 (* ---------------- policy ---------------- *)
 
-(* Resolve a policy-tree source: a .pol/.json file on disk, a generated
-   fleet (whose tree is emitted alongside its closed-form policies), or
-   a paper scenario (tree mined from the flat spec).  Scenario and fleet
-   targets also carry the flat policies, issues and network — enabling
-   the POL004 refinement and POL005 ticket cross-checks; file targets
-   get structural analysis only. *)
+(* Resolve a policy-tree source: a .pol/.json file on disk, or any
+   network target (a fleet brings the tree emitted alongside its
+   closed-form policies, a paper scenario the tree mined from its flat
+   spec).  Network targets also carry the flat policies, issues and
+   network — enabling the POL004 refinement and POL005 ticket
+   cross-checks; file targets get structural analysis only. *)
 let resolve_policy_target target =
   let open Heimdall_poltree in
   let from_file path =
-    let contents =
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
+    let contents = In_channel.with_open_bin path In_channel.input_all in
     let parsed =
       if Filename.check_suffix path ".json" then
         match Heimdall_json.Json.of_string_opt contents with
@@ -945,52 +820,20 @@ let resolve_policy_target target =
         exit 124
   in
   if Sys.file_exists target && not (Sys.is_directory target) then from_file target
-  else if is_fleet_spec target then
-    match Fleetgen.spec_of_string target with
-    | Error m ->
-        prerr_endline ("heimdall: bad fleet spec: " ^ m);
-        exit 124
-    | Ok params ->
-        let fleet = Fleetgen.generate params in
-        ( fleet.Fleetgen.name,
-          fleet.Fleetgen.poltree,
-          fleet.Fleetgen.policies,
-          fleet.Fleetgen.issues,
-          Some fleet.Fleetgen.net )
   else
-    match Experiments.scenario_of_name target with
-    | None ->
-        prerr_endline
+    let sc =
+      target_or_exit
+        ~unknown:
           (Printf.sprintf
-             "heimdall: unknown policy target %S (expected a scenario name, a fleet \
-              spec or a .pol/.json file)"
-             target);
-        exit 124
-    | Some sc ->
-        let tree =
-          Mine.of_policies
-            ~segs:(Mine.segs_of_network sc.Experiments.net)
-            sc.Experiments.policies
-        in
-        ( sc.Experiments.scenario_name,
-          tree,
-          sc.Experiments.policies,
-          sc.Experiments.issues,
-          Some sc.Experiments.net )
-
-(* The same ticket construction the analyze/lint paths use, so POL005
-   judges exactly the privilege specs Heimdall would grant. *)
-let poltree_tickets net issues =
-  List.map
-    (fun (issue : Heimdall_msp.Issue.t) ->
-      let _, slice, spec = ticket_grant net issue in
-      {
-        Heimdall_lint.Plan_lint.label = "ticket:" ^ issue.name;
-        spec;
-        scope = slice;
-        commands = issue.fix_commands;
-      })
-    issues
+             "unknown policy target %S (expected a scenario name, a fleet spec or a \
+              .pol/.json file)")
+        target
+    in
+    ( sc.Experiments.scenario_name,
+      Lazy.force sc.Experiments.poltree,
+      sc.Experiments.policies,
+      sc.Experiments.issues,
+      Some sc.Experiments.net )
 
 let policy_cmd =
   let open Heimdall_lint in
@@ -1026,101 +869,89 @@ let policy_cmd =
              root deny! contradicting a descendant allow; pol004: a flipped leaf \
              allow breaking refinement), then analyse.  The run must exit non-zero.")
   in
-  let run target json severity flags rules show compiled diff_target seed =
-    match (rules, target) with
-    | true, _ -> print_lint_rules ()
-    | false, None ->
-        prerr_endline "heimdall: required argument TARGET is missing (or pass --rules)";
+  let compile_or_exit what tree =
+    match Compile.compile tree with
+    | Ok c -> c
+    | Error m ->
+        prerr_endline (Printf.sprintf "heimdall: %s: %s" what m);
         exit 124
-    | false, Some target -> (
-        let name, tree, policies, issues, network = resolve_policy_target target in
-        let tree, seeded =
-          match seed with
-          | None -> (tree, None)
-          | Some kind -> (
-              let seeder, code =
-                match kind with
-                | `Pol001 -> (Analysis.seed_pol001, "POL001")
-                | `Pol004 -> (Analysis.seed_pol004, "POL004")
-              in
-              match seeder tree with
-              | Ok t -> (t, Some code)
-              | Error m ->
-                  prerr_endline ("heimdall: --seed-defect: " ^ m);
-                  exit 124)
-        in
-        if show then print_string (Poltree.render tree)
-        else
-          match Compile.compile tree with
+  in
+  let run target json severity flags rules show compiled diff_target seed =
+    rules_or_target ~docv:"TARGET" rules target @@ fun target ->
+    let name, tree, policies, issues, network = resolve_policy_target target in
+    let tree, seeded =
+      match seed with
+      | None -> (tree, None)
+      | Some kind -> (
+          let seeder, code =
+            match kind with
+            | `Pol001 -> (Analysis.seed_pol001, "POL001")
+            | `Pol004 -> (Analysis.seed_pol004, "POL004")
+          in
+          match seeder tree with
+          | Ok t -> (t, Some code)
           | Error m ->
-              prerr_endline ("heimdall: compile: " ^ m);
-              exit 124
-          | Ok c -> (
-              match diff_target with
-              | Some other -> (
-                  let other_name, other_tree, _, _, _ = resolve_policy_target other in
-                  match Compile.compile other_tree with
-                  | Error m ->
-                      prerr_endline
-                        (Printf.sprintf "heimdall: compile %s: %s" other_name m);
-                      exit 124
-                  | Ok oc ->
-                      let d = Compile.diff c oc in
-                      if Compile.diff_is_empty d then
-                        Printf.printf "%s and %s are semantically identical\n" name
-                          other_name
-                      else begin
-                        print_string (Compile.render_diff d);
-                        exit 1
-                      end)
-              | None ->
-                  if compiled then begin
-                    Printf.printf
-                      "compiled %s: %d nodes (%d leaves), %d permit cubes, %d \
-                       waypoint sets\n"
-                      name
-                      (List.length c.Compile.nodes)
-                      (List.length c.Compile.leaves)
-                      (Packet_set.cube_count c.Compile.permit)
-                      (List.length c.Compile.requires);
-                    List.iter
-                      (fun (l : Compile.leaf) ->
-                        Printf.printf "  %-40s permit %4d cubes%s\n" l.Compile.leaf_path
-                          (Packet_set.cube_count l.Compile.leaf_permit)
-                          (match l.Compile.leaf_requires with
-                          | [] -> ""
-                          | ws ->
-                              "  via "
-                              ^ String.concat ", " (List.map fst ws)))
-                      c.Compile.leaves
-                  end
-                  else
-                    let engine = make_engine flags in
-                    let tickets =
-                      match network with
-                      | Some net -> poltree_tickets net issues
-                      | None -> []
-                    in
-                    let findings =
-                      Analysis.check ~engine ~policies ~tickets ?network c
-                    in
-                    let findings, fail =
-                      Lint.apply_severity ~min_severity:severity findings
-                    in
-                    let header =
-                      Printf.sprintf
-                        "policy %s: %d nodes, %d rules, %d leaves, %d flat policies, \
-                         %d tickets%s\n"
-                        name
-                        (List.length c.Compile.nodes)
-                        (Poltree.rule_count tree)
-                        (List.length c.Compile.leaves)
-                        (List.length policies) (List.length tickets)
-                        (match seeded with
-                        | Some code -> Printf.sprintf " [seeded %s defect]" code
-                        | None -> "")
-                    in
-                    print_report_and_exit ~name ~json ~header findings ~fail))
+              prerr_endline ("heimdall: --seed-defect: " ^ m);
+              exit 124)
+    in
+    if show then print_string (Poltree.render tree)
+    else
+      let c = compile_or_exit "compile" tree in
+      match diff_target with
+      | Some other ->
+          let other_name, other_tree, _, _, _ = resolve_policy_target other in
+          let d = Compile.diff c (compile_or_exit ("compile " ^ other_name) other_tree) in
+          if Compile.diff_is_empty d then
+            Printf.printf "%s and %s are semantically identical\n" name other_name
+          else begin
+            print_string (Compile.render_diff d);
+            exit 1
+          end
+      | None when compiled ->
+          Printf.printf
+            "compiled %s: %d nodes (%d leaves), %d permit cubes, %d waypoint sets\n" name
+            (List.length c.Compile.nodes)
+            (List.length c.Compile.leaves)
+            (Packet_set.cube_count c.Compile.permit)
+            (List.length c.Compile.requires);
+          List.iter
+            (fun (l : Compile.leaf) ->
+              Printf.printf "  %-40s permit %4d cubes%s\n" l.Compile.leaf_path
+                (Packet_set.cube_count l.Compile.leaf_permit)
+                (match l.Compile.leaf_requires with
+                | [] -> ""
+                | ws -> "  via " ^ String.concat ", " (List.map fst ws)))
+            c.Compile.leaves
+      | None ->
+          let engine = make_engine flags in
+          (* The tickets exactly as Heimdall would grant them. *)
+          let tickets =
+            match network with
+            | Some net ->
+                List.map
+                  (fun issue ->
+                    let _, slice, spec = Selfcheck.ticket_grant net issue in
+                    Selfcheck.plan_ticket issue ~slice spec)
+                  issues
+            | None -> []
+          in
+          let findings, fail =
+            Lint.apply_severity ~min_severity:severity
+              (Analysis.check ~engine ~policies ~tickets ?network c)
+          in
+          let header =
+            Printf.sprintf
+              "policy %s: %d nodes, %d rules, %d leaves, %d flat policies, %d tickets%s\n"
+              name
+              (List.length c.Compile.nodes)
+              (Poltree.rule_count tree)
+              (List.length c.Compile.leaves)
+              (List.length policies) (List.length tickets)
+              (match seeded with
+              | Some code -> Printf.sprintf " [seeded %s defect]" code
+              | None -> "")
+          in
+          print_report_and_exit ~name ~json ~header findings ~fail
   in
   let target_arg =
     Arg.(
@@ -1198,49 +1029,54 @@ let conflicts_cmd =
 (* ---------------- experiment ---------------- *)
 
 let experiment_cmd =
+  let engine () = make_engine default_flags in
+  (* The one table: NAME's accepted values and its dispatch. *)
+  let experiments =
+    [
+      ("table1", fun () -> print_string (Experiments.render_table1 (Experiments.table1 ())));
+      ( "fig7",
+        fun () ->
+          let cells = Experiments.fig7 ~engine:(engine ()) () in
+          print_string (Experiments.render_fig7 cells);
+          List.iter
+            (fun (i, o) -> Printf.printf "overhead %s: +%.1f s\n" i o)
+            (Experiments.fig7_overhead cells) );
+      ( "fig8",
+        fun () ->
+          print_string
+            (Experiments.render_sweep ~title:"Figure 8 (enterprise)"
+               (Experiments.fig8 ~engine:(engine ()) ())) );
+      ( "fig9",
+        fun () ->
+          print_string
+            (Experiments.render_sweep ~title:"Figure 9 (university)"
+               (Experiments.fig9 ~engine:(engine ()) ())) );
+      ( "ablation-verify",
+        fun () ->
+          print_string (Experiments.render_ablation_verify (Experiments.ablation_verify ())) );
+      ( "ablation-slicer",
+        fun () ->
+          print_string (Experiments.render_ablation_slicer (Experiments.ablation_slicer ())) );
+      ( "ablation-audit",
+        fun () ->
+          print_string (Experiments.render_ablation_audit (Experiments.ablation_audit ())) );
+      ( "containment",
+        fun () ->
+          print_string
+            (Experiments.render_containment
+               (Experiments.attack_containment ~engine:(engine ()) ())) );
+    ]
+  in
+  let names = List.map (fun (n, _) -> (n, n)) experiments in
   let name_arg =
     Arg.(
       required
-      & pos 0 (some string) None
-      & info [] ~docv:"NAME"
-          ~doc:
-            "table1, fig7, fig8, fig9, ablation-verify, ablation-slicer, ablation-audit or containment.")
-  in
-  let run name =
-    let engine () = make_engine default_flags in
-    match name with
-    | "table1" -> print_string (Experiments.render_table1 (Experiments.table1 ()))
-    | "fig7" ->
-        let cells = Experiments.fig7 ~engine:(engine ()) () in
-        print_string (Experiments.render_fig7 cells);
-        List.iter
-          (fun (i, o) -> Printf.printf "overhead %s: +%.1f s\n" i o)
-          (Experiments.fig7_overhead cells)
-    | "fig8" ->
-        print_string
-          (Experiments.render_sweep ~title:"Figure 8 (enterprise)"
-             (Experiments.fig8 ~engine:(engine ()) ()))
-    | "fig9" ->
-        print_string
-          (Experiments.render_sweep ~title:"Figure 9 (university)"
-             (Experiments.fig9 ~engine:(engine ()) ()))
-    | "ablation-verify" ->
-        print_string (Experiments.render_ablation_verify (Experiments.ablation_verify ()))
-    | "ablation-slicer" ->
-        print_string (Experiments.render_ablation_slicer (Experiments.ablation_slicer ()))
-    | "ablation-audit" ->
-        print_string (Experiments.render_ablation_audit (Experiments.ablation_audit ()))
-    | "containment" ->
-        print_string
-          (Experiments.render_containment
-             (Experiments.attack_containment ~engine:(engine ()) ()))
-    | other ->
-        Printf.eprintf "unknown experiment %S\n" other;
-        exit 1
+      & pos 0 (some (enum names)) None
+      & info [] ~docv:"NAME" ~doc:("The artifact: " ^ Arg.doc_alts_enum names ^ "."))
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Print a paper artifact")
-    Term.(const run $ name_arg)
+    Term.(const (fun name -> List.assoc name experiments ()) $ name_arg)
 
 (* ---------------- audit ---------------- *)
 
@@ -1277,13 +1113,6 @@ let audit_cmd =
 (* ---------------- chaos ---------------- *)
 
 let chaos_cmd =
-  let issue_opt_arg =
-    Arg.(
-      value
-      & pos 1 (some string) None
-      & info [] ~docv:"ISSUE"
-          ~doc:("Issue to run under faults: " ^ issue_names ^ "; default: all three."))
-  in
   let seed_arg =
     Arg.(
       value & opt int 42
@@ -1298,16 +1127,7 @@ let chaos_cmd =
           ~doc:"Per-step retry budget for flaky commands and the transactional apply.")
   in
   let run sc issue_name seed max_attempts trace_out metrics flags =
-    let issues =
-      match issue_name with
-      | None -> sc.Experiments.issues
-      | Some name -> (
-          match find_issue sc name with
-          | Ok i -> [ i ]
-          | Error m ->
-              prerr_endline m;
-              exit 1)
-    in
+    let issues = issues_of sc issue_name in
     let obs =
       if trace_out <> None || metrics then Some (Heimdall_obs.Obs.create ())
       else None
@@ -1329,16 +1149,15 @@ let chaos_cmd =
           (flaky devices, partial applies, link flaps, crashes, an enclave restart) \
           and check that enforcement recovers; exit non-zero if any run fails")
     Term.(
-      const run $ network_arg $ issue_opt_arg $ seed_arg $ max_attempts_arg
+      const run $ network_arg $ issue_opt_arg "Issue to run under faults: " $ seed_arg
+      $ max_attempts_arg
       $ trace_out_arg $ metrics_flag $ engine_flags)
 
 (* ---------------- scale ---------------- *)
 
-(* Fleet-scale end-to-end: generate a seeded fleet, then run the whole
-   lint → twin → verify → schedule → audit pipeline over it, gating on
-   determinism (regenerate + re-verify byte-identical), lint errors,
-   policy violations, unresolved issues and cross-domain-count verdict
-   drift.  Exit non-zero on any failure so CI can use it as a smoke. *)
+(* Fleet-scale end-to-end: one spec through the shared fleet-scale gate
+   ({!Selfcheck.scale}, which [bench scale] runs at three sizes).  Exit
+   non-zero on any failed gate so CI can use it as a smoke. *)
 let scale_cmd =
   let spec_arg =
     Arg.(
@@ -1359,40 +1178,12 @@ let scale_cmd =
   in
   let run spec flags skip_issues =
     let params =
-      match Heimdall_scenarios.Fleetgen.spec_of_string spec with
+      match Fleetgen.spec_of_string spec with
       | Ok p -> p
       | Error m ->
           prerr_endline ("heimdall: bad fleet spec: " ^ m);
           exit 124
     in
-    let failed = ref false in
-    let gate name ok =
-      Printf.printf "%-42s %s\n" name (if ok then "ok" else "FAIL");
-      if not ok then failed := true
-    in
-    let open Heimdall_scenarios in
-    let fleet, gen_s =
-      Heimdall_obs.Clock.elapsed (fun () -> Fleetgen.generate params)
-    in
-    Printf.printf "fleet %s\n" fleet.Fleetgen.name;
-    Printf.printf "devices: %d  links: %d  policies: %d  config lines: %d\n"
-      (Fleetgen.device_count fleet) (Fleetgen.link_count fleet)
-      (List.length fleet.Fleetgen.policies)
-      (Network.total_config_lines fleet.Fleetgen.net);
-    Printf.printf "generation: %.3f s\n" gen_s;
-    (* Determinism: a second generation from the same params must agree
-       byte for byte — structural digest, rendered configs, policies. *)
-    let fleet2 = Fleetgen.generate params in
-    let digest f = Digest.to_hex (Network.digest f.Fleetgen.net) in
-    gate "deterministic regeneration (digest)" (digest fleet = digest fleet2);
-    gate "deterministic regeneration (policies)"
-      (List.equal Heimdall_verify.Policy.equal fleet.Fleetgen.policies
-         fleet2.Fleetgen.policies);
-    (match Network.validate fleet.Fleetgen.net with
-    | Ok () -> gate "network validation" true
-    | Error e ->
-        prerr_endline ("  " ^ e);
-        gate "network validation" false);
     (* --domains sizes the N-domain leg of the determinism check (default:
        auto, at least 2); the 1-domain leg also uses the --dp-cache. *)
     let n_domains =
@@ -1402,88 +1193,12 @@ let scale_cmd =
     in
     let engine1 = make_engine { flags with domains = Some 1 } in
     let engine_n = make_engine { domains = Some n_domains; cache_dir = None } in
-    (* Lint: only error-severity findings gate (warnings like a terminal
-       permit-any are part of the generated enterprise idiom). *)
-    let findings, lint_s =
-      Heimdall_obs.Clock.elapsed (fun () ->
-          Heimdall_lint.Lint.check_network ~engine:engine1 fleet.Fleetgen.net)
-    in
-    let errors =
-      List.filter
-        (fun (d : Heimdall_lint.Diagnostic.t) ->
-          d.severity = Heimdall_lint.Diagnostic.Error)
-        findings
-    in
-    List.iter
-      (fun d -> prerr_endline ("  " ^ Heimdall_lint.Diagnostic.to_string d))
-      errors;
-    Printf.printf "lint: %d findings, %d errors (%.3f s)\n" (List.length findings)
-      (List.length errors) lint_s;
-    gate "lint clean (no error severity)" (errors = []);
-    (* Verify every policy on 1 domain and on N domains; the verdicts —
-       not just the counts — must be byte-identical. *)
-    let dp1, dp_s =
-      Heimdall_obs.Clock.elapsed (fun () ->
-          Heimdall_verify.Engine.dataplane engine1 fleet.Fleetgen.net)
-    in
-    let report_fingerprint (r : Heimdall_verify.Policy.report) =
-      (r.total,
-       List.map
-         (fun (p, reason) -> (Heimdall_verify.Policy.to_string p, reason))
-         r.violations)
-    in
-    let report1, check_s =
-      Heimdall_obs.Clock.elapsed (fun () ->
-          Heimdall_verify.Policy.check_all ~engine:engine1 dp1
-            fleet.Fleetgen.policies)
-    in
-    let dp_n = Heimdall_verify.Engine.dataplane engine_n fleet.Fleetgen.net in
-    let report_n =
-      Heimdall_verify.Policy.check_all ~engine:engine_n dp_n
-        fleet.Fleetgen.policies
-    in
-    List.iter
-      (fun (p, reason) ->
-        prerr_endline
-          ("  violated: " ^ Heimdall_verify.Policy.to_string p ^ " — " ^ reason))
-      report1.Heimdall_verify.Policy.violations;
-    Printf.printf "verify: %d policies, %d violations (dataplane %.3f s, check %.3f s)\n"
-      report1.Heimdall_verify.Policy.total
-      (List.length report1.Heimdall_verify.Policy.violations)
-      dp_s check_s;
-    gate "zero policy violations"
-      (report1.Heimdall_verify.Policy.violations = []);
-    gate
-      (Printf.sprintf "verdicts identical at 1 vs %d domains" n_domains)
-      (report_fingerprint report1 = report_fingerprint report_n);
-    (* Every injected issue through the full pipeline: privilege
-       generation, twin session, verify, schedule, apply, audit. *)
-    if not skip_issues then
-      List.iter
-        (fun (issue : Heimdall_msp.Issue.t) ->
-          let run, wf_s =
-            Heimdall_obs.Clock.elapsed (fun () ->
-                Heimdall_msp.Workflow.run_heimdall ~engine:engine_n
-                  ~production:fleet.Fleetgen.net
-                  ~policies:fleet.Fleetgen.policies ~issue ())
-          in
-          Printf.printf "issue %-10s %s, %d denied (%.3f s)\n"
-            issue.Heimdall_msp.Issue.name
-            (if run.Heimdall_msp.Workflow.resolved then "resolved" else "NOT resolved")
-            run.Heimdall_msp.Workflow.denied wf_s;
-          gate
-            (Printf.sprintf "issue %s resolved, nothing denied"
-               issue.Heimdall_msp.Issue.name)
-            (run.Heimdall_msp.Workflow.resolved
-            && run.Heimdall_msp.Workflow.denied = 0))
-        fleet.Fleetgen.issues;
+    let s = Selfcheck.scale ~engine1 ~engine_n ~issues:(not skip_issues) params in
     Heimdall_verify.Engine.shutdown engine1;
     Heimdall_verify.Engine.shutdown engine_n;
-    (match Fleetgen.peak_rss_kb () with
-    | Some kb -> Printf.printf "peak RSS: %.1f MB\n" (float_of_int kb /. 1024.)
-    | None -> ());
-    Printf.printf "scale gate: %s\n" (if !failed then "FAIL" else "PASS");
-    if !failed then exit 1
+    List.iter prerr_endline (Selfcheck.scale_problems s);
+    print_string (Selfcheck.render_scale s);
+    if not (Selfcheck.scale_passed s) then exit 1
   in
   Cmd.v
     (Cmd.info "scale"
@@ -1501,65 +1216,54 @@ let shell_cmd =
     Arg.(value & flag & info [ "emergency" ]
            ~doc:"Bypass the twin: commands hit production through the enforcer.")
   in
+  (* Read commands until EOF, quit or exit; [exec] answers each line. *)
+  let rec repl prompt exec =
+    print_string prompt;
+    match read_line () with
+    | exception End_of_file -> ()
+    | "quit" | "exit" -> ()
+    | line when String.trim line = "" -> repl prompt exec
+    | line ->
+        print_string (exec line);
+        repl prompt exec
+  in
   let run ({ Experiments.net; policies; _ } as sc) issue_name emergency =
     let engine = make_engine default_flags in
-    match find_issue sc issue_name with
-    | Error m ->
-        prerr_endline m;
-        exit 1
-    | Ok issue ->
-        let broken, slice, privilege = ticket_grant net issue in
-        let endpoints = issue.Heimdall_msp.Issue.ticket.endpoints in
-        print_endline (Heimdall_msp.Issue.to_string issue);
-        Printf.printf "twin slice: %s\n" (String.concat ", " slice);
-        print_endline "type commands ('quit' to leave; e.g. 'connect r4', 'show ip route'):";
-        if emergency then begin
-          let session =
-            Heimdall_msp.Emergency.open_session ~engine ~reason:"operator shell"
-              ~production:broken ~policies ~privilege ()
-          in
-          let rec loop () =
-            print_string "heimdall(EMERGENCY)> ";
-            match read_line () with
-            | exception End_of_file -> ()
-            | "quit" | "exit" -> ()
-            | line when String.trim line = "" -> loop ()
-            | line ->
-                (match Heimdall_msp.Emergency.exec session line with
-                | Ok out -> print_string out
-                | Error r ->
-                    print_endline ("% " ^ Heimdall_msp.Emergency.refusal_to_string r));
-                loop ()
-          in
-          loop ();
-          print_endline "--- emergency audit trail ---";
-          print_endline
-            (Heimdall_enforcer.Audit.to_string (Heimdall_msp.Emergency.audit session))
-        end
-        else begin
-          let em = Heimdall_twin.Twin.build ~production:broken ~endpoints () in
-          let session = Heimdall_twin.Twin.open_session ~privilege em in
-          let rec loop () =
-            print_string "heimdall(twin)> ";
-            match read_line () with
-            | exception End_of_file -> ()
-            | "quit" | "exit" -> ()
-            | line when String.trim line = "" -> loop ()
-            | line ->
-                (match Heimdall_twin.Session.exec session line with
-                | Ok out -> print_string out
-                | Error e ->
-                    print_endline ("% " ^ Heimdall_twin.Session.error_to_string e));
-                loop ()
-          in
-          loop ();
-          print_endline "--- enforcer ---";
-          let outcome =
-            Heimdall_enforcer.Enforcer.process ~engine ~production:broken ~policies
-              ~privilege ~session ()
-          in
-          print_string (Heimdall_enforcer.Enforcer.outcome_to_string outcome)
-        end
+    let issue = issue_or_exit sc issue_name in
+    let broken, slice, privilege = Selfcheck.ticket_grant net issue in
+    print_endline (Heimdall_msp.Issue.to_string issue);
+    Printf.printf "twin slice: %s\n" (String.concat ", " slice);
+    print_endline "type commands ('quit' to leave; e.g. 'connect r4', 'show ip route'):";
+    if emergency then begin
+      let session =
+        Heimdall_msp.Emergency.open_session ~engine ~reason:"operator shell"
+          ~production:broken ~policies ~privilege ()
+      in
+      repl "heimdall(EMERGENCY)> " (fun line ->
+          match Heimdall_msp.Emergency.exec session line with
+          | Ok out -> out
+          | Error r -> "% " ^ Heimdall_msp.Emergency.refusal_to_string r ^ "\n");
+      print_endline "--- emergency audit trail ---";
+      print_endline
+        (Heimdall_enforcer.Audit.to_string (Heimdall_msp.Emergency.audit session))
+    end
+    else begin
+      let em =
+        Heimdall_twin.Twin.build ~production:broken
+          ~endpoints:issue.Heimdall_msp.Issue.ticket.endpoints ()
+      in
+      let session = Heimdall_twin.Twin.open_session ~privilege em in
+      repl "heimdall(twin)> " (fun line ->
+          match Heimdall_twin.Session.exec session line with
+          | Ok out -> out
+          | Error e -> "% " ^ Heimdall_twin.Session.error_to_string e ^ "\n");
+      print_endline "--- enforcer ---";
+      let outcome =
+        Heimdall_enforcer.Enforcer.process ~engine ~production:broken ~policies
+          ~privilege ~session ()
+      in
+      print_string (Heimdall_enforcer.Enforcer.outcome_to_string outcome)
+    end
   in
   Cmd.v
     (Cmd.info "shell"

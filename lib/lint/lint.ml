@@ -96,6 +96,8 @@ let rules =
       summary = "redundant subtree: removing it leaves permit, deny and require sets unchanged" };
   ]
 
+let families = List.sort_uniq compare (List.map (fun r -> r.family) rules)
+
 let rule code = List.find_opt (fun r -> r.code = code) rules
 
 (* ---------------- entry points ---------------- *)

@@ -31,6 +31,9 @@ val rules : rule list
 (** Every rule the analyzers can emit, sorted by code.  Kept in sync with
     the analyzers by a unit test. *)
 
+val families : family list
+(** The families of {!rules}, each once. *)
+
 val rule : string -> rule option
 
 (** {1 Entry points} *)

@@ -4,12 +4,6 @@ open Heimdall_msp
 
 type event_kind = Honest_repair | Exfiltration | Rogue_change | Careless
 
-let event_kind_to_string = function
-  | Honest_repair -> "honest repair"
-  | Exfiltration -> "exfiltration"
-  | Rogue_change -> "rogue change"
-  | Careless -> "careless erase"
-
 type event = { index : int; kind : event_kind }
 type model = Rmm_model | Heimdall_model
 
@@ -127,14 +121,6 @@ let run_rmm_event ~engine net policies issues event =
       let after = Rmm.resulting_network session in
       (0, 0, Attacks.policy_damage ~engine ~policies ~before:net ~after, 0)
 
-let heimdall_session_for net ticket =
-  let slice =
-    Heimdall_twin.Twin.slice_nodes ~production:net ~endpoints:ticket.Ticket.endpoints ()
-  in
-  let privilege = Priv_gen.for_ticket ~network:net ~slice ticket in
-  let em = Heimdall_twin.Twin.build ~production:net ~endpoints:ticket.Ticket.endpoints () in
-  (Heimdall_twin.Twin.open_session ~privilege em, privilege)
-
 let generic_ticket net =
   let hosts =
     List.filter (fun n -> Network.kind n net = Some Topology.Host) (Network.node_names net)
@@ -152,14 +138,14 @@ let run_heimdall_event ~engine net policies issues event =
       let run = Workflow.run_heimdall ~engine ~production:net ~policies ~issue () in
       ((if run.Workflow.resolved then 1 else 0), 0, 0, 0)
   | Exfiltration ->
-      let session, _ = heimdall_session_for net (generic_ticket net) in
+      let session, _ = Selfcheck.twin_session net (generic_ticket net) in
       let r = Attacks.exfiltrate ~production:net ~targets:(routers net) session in
       (0, List.length r.Attacks.leaked, 0, (if r.Attacks.leaked = [] then 1 else 0))
   | Rogue_change -> (
       match rogue_commands net with
       | None -> (0, 0, 0, 1)
       | Some commands ->
-          let session, privilege = heimdall_session_for net (generic_ticket net) in
+          let session, privilege = Selfcheck.twin_session net (generic_ticket net) in
           let (_ : (string, Heimdall_twin.Session.error) result list) =
             Heimdall_twin.Session.exec_many session commands
           in
@@ -173,7 +159,7 @@ let run_heimdall_event ~engine net policies issues event =
           let damage = Attacks.policy_damage ~engine ~policies ~before:net ~after in
           (0, 0, damage, (if damage = 0 then 1 else 0)))
   | Careless ->
-      let session, _ = heimdall_session_for net (generic_ticket net) in
+      let session, _ = Selfcheck.twin_session net (generic_ticket net) in
       let results =
         Heimdall_twin.Session.exec_many session
           (Attacks.erase_gateway_commands ~gateway:(gateway_of net))

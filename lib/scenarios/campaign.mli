@@ -15,8 +15,6 @@ type event_kind =
   | Rogue_change  (** Malicious ACL opening of the protected subnet. *)
   | Careless  (** Fat-fingered erase on a gateway. *)
 
-val event_kind_to_string : event_kind -> string
-
 type event = { index : int; kind : event_kind }
 
 type model = Rmm_model | Heimdall_model

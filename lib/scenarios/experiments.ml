@@ -29,32 +29,33 @@ type scenario = {
   net : Network.t;
   policies : Heimdall_verify.Policy.t list;
   issues : Issue.t list;
+  poltree : Heimdall_poltree.Poltree.t Lazy.t;
 }
+
+let scenario name net policies issues =
+  let open Heimdall_poltree in
+  let poltree = lazy (Mine.of_policies ~segs:(Mine.segs_of_network net) policies) in
+  { scenario_name = name; net; policies; issues; poltree }
 
 let scenario_names = [ "enterprise"; "university" ]
 
 let scenario_of_name = function
   | "enterprise" ->
       let net, policies = enterprise () in
-      Some { scenario_name = "enterprise"; net; policies; issues = Enterprise.issues net }
+      Ok (scenario "enterprise" net policies (Enterprise.issues net))
   | "university" ->
       let net, policies = university () in
-      Some { scenario_name = "university"; net; policies; issues = University.issues net }
+      Ok (scenario "university" net policies (University.issues net))
   | name when String.length name > 6 && String.sub name 0 6 = "fleet:" -> (
       (* Generated fleet, e.g. "fleet:fat-tree:k=8:seed=42" — the whole
          pipeline (lint, analyze, chaos, serve, ...) runs on it unmodified. *)
       match Fleetgen.spec_of_string name with
-      | Error _ -> None
+      | Error m -> Error (`Bad_fleet_spec m)
       | Ok params ->
-          let fleet = Fleetgen.generate params in
-          Some
-            {
-              scenario_name = fleet.Fleetgen.name;
-              net = fleet.Fleetgen.net;
-              policies = fleet.Fleetgen.policies;
-              issues = fleet.Fleetgen.issues;
-            })
-  | _ -> None
+          let f = Fleetgen.generate params in
+          let sc = scenario f.Fleetgen.name f.net f.policies f.issues in
+          Ok { sc with poltree = Lazy.from_val f.poltree })
+  | _ -> Error `Unknown
 
 (* --------------------------------------------------------------- *)
 (* Table 1                                                          *)
@@ -373,16 +374,6 @@ type containment = {
   heimdall_blocked : bool;
 }
 
-let heimdall_session net ticket =
-  let slice =
-    Heimdall_twin.Twin.slice_nodes ~production:net ~endpoints:ticket.Ticket.endpoints ()
-  in
-  let privilege = Priv_gen.for_ticket ~network:net ~slice ticket in
-  let emulation =
-    Heimdall_twin.Twin.build ~production:net ~endpoints:ticket.Ticket.endpoints ()
-  in
-  (Heimdall_twin.Twin.open_session ~privilege emulation, privilege)
-
 let exfiltration_scenario () =
   let net, policies = enterprise () in
   let routers =
@@ -394,7 +385,7 @@ let exfiltration_scenario () =
   let baseline = Attacks.exfiltrate ~production:net ~targets:routers baseline_session in
   (* Heimdall: the attacker holds a twin session for a VLAN ticket. *)
   let ticket = (List.nth (Enterprise.issues net) 0).Issue.ticket in
-  let session, _ = heimdall_session net ticket in
+  let session, _ = Selfcheck.twin_session net ticket in
   let heimdall = Attacks.exfiltrate ~production:net ~targets:routers session in
   ignore policies;
   {
@@ -427,7 +418,7 @@ let malicious_acl_scenario ~engine () =
       ~description:"h1 reports intermittent access to the web server"
       ~endpoints:[ "h1"; "h8" ]
   in
-  let session, privilege = heimdall_session net ticket in
+  let session, privilege = Selfcheck.twin_session net ticket in
   let (_ : (string, Heimdall_twin.Session.error) result list) =
     Heimdall_twin.Session.exec_many session commands
   in
@@ -460,7 +451,7 @@ let careless_erase_scenario ~engine () =
   let baseline_after = Rmm.resulting_network baseline_session in
   let baseline_damage = Attacks.policy_damage ~engine ~policies ~before:net ~after:baseline_after in
   let ticket = (List.nth (Enterprise.issues net) 2).Issue.ticket in
-  let session, privilege = heimdall_session net ticket in
+  let session, privilege = Selfcheck.twin_session net ticket in
   let (_ : (string, Heimdall_twin.Session.error) result list) =
     Heimdall_twin.Session.exec_many session commands
   in

@@ -127,15 +127,26 @@ val university : unit -> Network.t * Heimdall_verify.Policy.t list
     well-known node names. *)
 
 type scenario = {
-  scenario_name : string;  (** ["enterprise"] or ["university"]. *)
+  scenario_name : string;  (** ["enterprise"], ["university"] or a fleet's name. *)
   net : Network.t;
   policies : Heimdall_verify.Policy.t list;
   issues : Heimdall_msp.Issue.t list;
+  poltree : Heimdall_poltree.Poltree.t Lazy.t;
+      (** The policy tree of [policies]: the generator's own for a
+          fleet, mined from the flat spec ({!Heimdall_poltree.Mine}) for
+          every other scenario. *)
 }
+
+val scenario :
+  string -> Network.t -> Heimdall_verify.Policy.t list -> Heimdall_msp.Issue.t list ->
+  scenario
+(** [scenario name net policies issues], its tree mined on first use. *)
 
 val scenario_names : string list
 
-val scenario_of_name : string -> scenario option
+val scenario_of_name :
+  string -> (scenario, [ `Unknown | `Bad_fleet_spec of string ]) result
 (** Cached, like {!enterprise}/{!university}.  Also accepts generated
     fleet specs (["fleet:fat-tree:k=8:seed=42"], see {!Fleetgen}) —
-    those are rebuilt per call (deterministic, not cached). *)
+    those are rebuilt per call (deterministic, not cached); a malformed
+    one returns {!Fleetgen.spec_of_string}'s message. *)

@@ -156,5 +156,3 @@ val prove : spec:Privilege.t -> requirement list -> proof
     is evaluated with the same [Privilege.request] the monitor and the
     verifier build, so [sufficient = true] implies a denial-free
     replay. *)
-
-val proof_to_string : proof -> string

@@ -20,8 +20,8 @@ let checks = Alcotest.check Alcotest.string
 
 let enterprise () =
   match Experiments.scenario_of_name "enterprise" with
-  | Some sc -> sc
-  | None -> Alcotest.fail "enterprise scenario missing"
+  | Ok sc -> sc
+  | Error _ -> Alcotest.fail "enterprise scenario missing"
 
 let issue_named (sc : Experiments.scenario) name =
   match
@@ -64,8 +64,8 @@ let test_apply_plan_shape () =
 let golden_plan name scenario ~seed ~steps expected =
   let sc =
     match Experiments.scenario_of_name scenario with
-    | Some sc -> sc
-    | None -> Alcotest.fail (scenario ^ " scenario missing")
+    | Ok sc -> sc
+    | Error _ -> Alcotest.fail (scenario ^ " scenario missing")
   in
   let plan = Fault.for_apply ~seed ~network:sc.Experiments.net ~steps in
   Alcotest.check

@@ -101,14 +101,25 @@ let test_shape_inventories () =
 
 let test_scenario_of_name () =
   match Experiments.scenario_of_name "fleet:fat-tree:k=4:seed=7" with
-  | None -> Alcotest.fail "fleet spec not recognised"
-  | Some sc ->
+  | Error _ -> Alcotest.fail "fleet spec not recognised"
+  | Ok sc ->
       checks "scenario name carries the canonical spec"
         "fleet:fat-tree:k=4:hosts=2:policies=2:mode=closed:seed=7"
         sc.Experiments.scenario_name;
       checki "issues" 3 (List.length sc.Experiments.issues);
-      checkb "bad fleet specs are rejected, not crashes" true
-        (Experiments.scenario_of_name "fleet:fat-tree:k=5" = None)
+      checks "the generator's own policy tree"
+        (Heimdall_poltree.Poltree.render
+           (Fleetgen.generate (params_of "fat-tree:k=4:seed=7")).Fleetgen.poltree)
+        (Heimdall_poltree.Poltree.render (Lazy.force sc.Experiments.poltree));
+      (* A bad spec is rejected, not a crash, and carries the generator's
+         own message. *)
+      let expected =
+        match Fleetgen.spec_of_string "fleet:fat-tree:k=5" with
+        | Error m -> m
+        | Ok _ -> Alcotest.fail "k=5 accepted"
+      in
+      checkb "bad fleet spec carries the parser's message" true
+        (Experiments.scenario_of_name "fleet:fat-tree:k=5" = Error (`Bad_fleet_spec expected))
 
 (* ---------------- full pipeline on a small fat-tree ---------------- *)
 
@@ -153,6 +164,32 @@ let test_pipeline_fat_tree () =
         run.Heimdall_msp.Workflow.denied)
     fleet.Fleetgen.issues
 
+(* ---------------- the shared scale gate ---------------- *)
+
+let test_scale_gate () =
+  let engine_n = Heimdall_verify.Engine.create ~domains:2 () in
+  let s =
+    Selfcheck.scale ~engine1:engine ~engine_n ~issues:true (params_of "fat-tree:k=4:seed=42")
+  in
+  Heimdall_verify.Engine.shutdown engine_n;
+  List.iter (fun (gate, ok) -> checkb gate true ok) (Selfcheck.scale_gates s);
+  checkb "passed" true (Selfcheck.scale_passed s);
+  let field name =
+    Option.get (Heimdall_json.Json.member name (Selfcheck.scale_to_json s))
+  in
+  let int name = Option.get (Heimdall_json.Json.to_int_opt (field name)) in
+  checki "37 devices" 37 (int "devices");
+  checki "N-domain leg" 2 (int "domains");
+  checkb "identical verdicts" true
+    (List.assoc "verdicts identical at 1 vs 2 domains" (Selfcheck.scale_gates s));
+  checki "every issue ran" 3
+    (List.length (Option.get (Heimdall_json.Json.to_list_opt (field "issues"))));
+  checki "gates: six plus one per issue" 9 (List.length (Selfcheck.scale_gates s));
+  checkb "nothing to report on stderr" true (Selfcheck.scale_problems s = []);
+  let report = Selfcheck.render_scale s in
+  checks "report ends in the verdict" "scale gate: PASS"
+    (List.nth (List.rev (String.split_on_char '\n' (String.trim report))) 0)
+
 let suite =
   [
     Alcotest.test_case "spec round trip and rejection" `Quick test_spec_roundtrip;
@@ -160,4 +197,5 @@ let suite =
     Alcotest.test_case "shape inventories" `Quick test_shape_inventories;
     Alcotest.test_case "fleet scenario wiring" `Quick test_scenario_of_name;
     Alcotest.test_case "fat-tree k=4 full pipeline" `Slow test_pipeline_fat_tree;
+    Alcotest.test_case "scale gate on fat-tree k=4, 1 vs 2 domains" `Slow test_scale_gate;
   ]

@@ -354,7 +354,7 @@ let test_check_privilege_label () =
 let test_evaluation_networks_lint_clean () =
   List.iter
     (fun name ->
-      let sc = Option.get (Experiments.scenario_of_name name) in
+      let sc = Result.get_ok (Experiments.scenario_of_name name) in
       let ds = Lint.check_network ~engine sc.Experiments.net in
       checkb (name ^ " no errors") false (Lint.has_errors ds);
       (* Exactly the one deliberate default-permit warning each. *)
@@ -363,7 +363,7 @@ let test_evaluation_networks_lint_clean () =
     Experiments.scenario_names
 
 let test_engine_determinism () =
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   (* Seed a few defects so the report is non-trivial. *)
   let cfg = Network.config_exn "r8" sc.Experiments.net in
   let acl = Option.get (Ast.find_acl "SRV_PROT" cfg) in
@@ -378,7 +378,7 @@ let test_engine_determinism () =
     (Heimdall_json.Json.to_string (Lint.to_json parallel))
 
 let test_seeded_shadowed_rule_detected () =
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   let cfg = Network.config_exn "r8" sc.Experiments.net in
   let acl = Option.get (Ast.find_acl "SRV_PROT" cfg) in
   let acl = Acl.add_rule (Acl.rule ~seq:30 Acl.Deny (pfx "10.9.9.0/24") Prefix.any) acl in

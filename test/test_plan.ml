@@ -10,6 +10,7 @@ open Heimdall_privilege
 open Heimdall_sem
 open Heimdall_lint
 module Experiments = Heimdall_scenarios.Experiments
+module Selfcheck = Heimdall_scenarios.Selfcheck
 
 (* The one verification context shared by this file's tests. *)
 let engine = Heimdall_verify.Engine.create ~domains:1 ()
@@ -20,9 +21,9 @@ let checks = Alcotest.check Alcotest.string
 let pfx = Prefix.of_string
 let ip = Ipv4.of_string
 
-let enterprise = lazy (Option.get (Experiments.scenario_of_name "enterprise"))
+let enterprise = lazy (Result.get_ok (Experiments.scenario_of_name "enterprise"))
 
-let scenario name = Option.get (Experiments.scenario_of_name name)
+let scenario name = Result.get_ok (Experiments.scenario_of_name name)
 
 (* ---------------- Effect signatures ---------------- *)
 
@@ -488,6 +489,46 @@ let test_static_analysis_sound_on_scenarios () =
         sc.Experiments.issues)
     [ "enterprise"; "university" ]
 
+(* The shared soundness oracle agrees with the reference above on every
+   paper ticket and every fat-tree k=4 ticket, and a failed property
+   yields its message. *)
+let test_plan_soundness_matches_reference () =
+  List.iter
+    (fun name ->
+      let sc = scenario name in
+      List.iter
+        (fun (issue : Heimdall_msp.Issue.t) ->
+          let label = name ^ "/" ^ issue.Heimdall_msp.Issue.name in
+          let r = Selfcheck.replay sc.Experiments.net issue in
+          let s = Selfcheck.plan_soundness r in
+          let script =
+            Plan_sem.script_of_commands issue.Heimdall_msp.Issue.fix_commands
+          in
+          let a =
+            Plan_sem.analyze ~network:r.Selfcheck.broken script.Plan_sem.script_changes
+          in
+          let reference =
+            Packet_set.subset
+              (exact_delta
+                 (Heimdall_twin.Emulation.baseline r.Selfcheck.emulation)
+                 (Heimdall_twin.Emulation.network r.Selfcheck.emulation))
+              a.Plan_sem.delta
+          in
+          checkb (label ^ ": delta_sound is the reference verdict") reference
+            s.Selfcheck.delta_sound;
+          checkb (label ^ ": delta contained") true s.Selfcheck.delta_sound;
+          checki (label ^ ": denials") 0 s.Selfcheck.denied;
+          checki (label ^ ": rejections") 0 s.Selfcheck.rejected;
+          checkb (label ^ ": sound") true (Selfcheck.soundness_failures s = []))
+        sc.Experiments.issues)
+    [ "enterprise"; "university"; "fleet:fat-tree:k=4" ];
+  let unsound =
+    { Selfcheck.label = "ticket:x"; delta_sound = false; sufficient = true; denied = 1;
+      rejected = 0 }
+  in
+  checki "both broken properties reported" 2
+    (List.length (Selfcheck.soundness_failures unsound))
+
 (* ---------------- Fleet-scale plan pipeline ---------------- *)
 
 (* The same per-ticket construction `heimdall analyze --plan` uses, run
@@ -545,5 +586,7 @@ let suite =
     Alcotest.test_case "scheduler plan footprint" `Quick test_scheduler_plan_footprint;
     Alcotest.test_case "static analysis sound on scenarios" `Quick
       test_static_analysis_sound_on_scenarios;
+    Alcotest.test_case "shared soundness oracle matches the reference" `Quick
+      test_plan_soundness_matches_reference;
     Alcotest.test_case "fleet plan pipeline" `Quick test_fleet_plan_pipeline;
   ]

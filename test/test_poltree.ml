@@ -262,13 +262,13 @@ let pol004_errors sc =
   |> List.filter (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error)
 
 let test_pol004_enterprise () =
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   let errors = pol004_errors sc in
   List.iter (fun d -> Printf.eprintf "POL004: %s\n" (Diagnostic.to_string d)) errors;
   checki "mined tree refines the enterprise flat spec" 0 (List.length errors)
 
 let test_pol004_university () =
-  let sc = Option.get (Experiments.scenario_of_name "university") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "university") in
   checki "mined tree refines the university flat spec" 0 (List.length (pol004_errors sc))
 
 let test_pol004_fleet () =
@@ -284,7 +284,7 @@ let test_pol004_fleet () =
   checki "fleet tree refines the closed-form spec" 0 (List.length errors)
 
 let test_pol004_seeded () =
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   let seeded =
     match Analysis.seed_pol004 (tree_of_scenario sc) with
     | Ok t -> Compile.compile_exn t

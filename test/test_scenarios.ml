@@ -293,15 +293,15 @@ let test_scenario_of_name () =
   List.iter
     (fun name ->
       match Experiments.scenario_of_name name with
-      | None -> Alcotest.fail ("missing scenario " ^ name)
-      | Some sc ->
+      | Error _ -> Alcotest.fail ("missing scenario " ^ name)
+      | Ok sc ->
           Alcotest.check Alcotest.string "name carried" name sc.Experiments.scenario_name;
           checkb "has policies" true (sc.Experiments.policies <> []);
           checkb "has issues" true (sc.Experiments.issues <> []))
     Experiments.scenario_names;
-  checkb "unknown rejected" true (Experiments.scenario_of_name "datacenter" = None);
+  checkb "unknown rejected" true (Experiments.scenario_of_name "datacenter" = Error `Unknown);
   (* The cached record matches the cached pair accessors. *)
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   let net, policies = Experiments.enterprise () in
   checkb "same network" true (sc.Experiments.net == net);
   checkb "same policies" true (sc.Experiments.policies == policies)

@@ -424,7 +424,7 @@ let test_prv004_diagnostics () =
 (* ---------------- determinism + gating ---------------- *)
 
 let seeded_enterprise () =
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   let cfg = Network.config_exn "r8" sc.Experiments.net in
   let acl = Option.get (Ast.find_acl "SRV_PROT" cfg) in
   let acl =
@@ -459,7 +459,7 @@ let test_apply_severity_gate () =
 (* ---------------- enforcer semantic pre-check ---------------- *)
 
 let test_enforcer_sem_records () =
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   let net = sc.Experiments.net and policies = sc.Experiments.policies in
   let em = Heimdall_twin.Twin.build ~production:net ~endpoints:[ "h1"; "h8" ] () in
   let session = Heimdall_twin.Twin.open_session ~privilege:Privilege.allow_all em in
@@ -492,7 +492,7 @@ let test_enforcer_sem_records () =
     (Heimdall_enforcer.Audit.verify outcome.Heimdall_enforcer.Enforcer.audit = Ok ())
 
 let test_enforcer_clean_session_no_sem_records () =
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   let net = sc.Experiments.net and policies = sc.Experiments.policies in
   let em = Heimdall_twin.Twin.build ~production:net ~endpoints:[ "h1"; "h8" ] () in
   let session =

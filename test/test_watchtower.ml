@@ -317,7 +317,7 @@ let test_runtime_sampler () =
 
 let test_engine_runtime_sampler () =
   let open Heimdall_verify in
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   let engine = Engine.create ~domains:1 () in
   let dp = Engine.dataplane engine sc.Experiments.net in
   ignore (Engine.dataplane engine sc.Experiments.net);
@@ -335,7 +335,7 @@ let test_engine_runtime_sampler () =
 
 let test_monitor_detect_clear () =
   let open Heimdall_verify in
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   let issue = List.hd sc.Experiments.issues in
   let obs = Obs.create () in
   let engine = Engine.create ~domains:1 ~obs () in
@@ -392,7 +392,7 @@ let test_monitor_detect_clear () =
     (List.assoc_opt "drift_cycles" fields = Some (Json.Int 5))
 
 let test_monitor_with_injector () =
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   let node =
     (* A non-host infrastructure device whose crash degrades the net. *)
     List.find
@@ -423,7 +423,7 @@ let test_monitor_with_injector () =
     (List.length (Heimdall_faults.Injector.occurrences inj))
 
 let test_monitor_accept () =
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   let issue = List.hd sc.Experiments.issues in
   let drifted = issue.Heimdall_msp.Issue.inject sc.Experiments.net in
   let monitor =
@@ -443,7 +443,7 @@ let test_monitor_accept () =
    same engine produces byte-identical verdicts to one without. *)
 let test_monitor_determinism () =
   let open Heimdall_verify in
-  let sc = Option.get (Experiments.scenario_of_name "enterprise") in
+  let sc = Result.get_ok (Experiments.scenario_of_name "enterprise") in
   let issue = List.hd sc.Experiments.issues in
   let fingerprint ~monitored () =
     let engine = Engine.create ~domains:1 () in
